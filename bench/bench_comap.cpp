@@ -17,8 +17,8 @@
 #include "bench_common.h"
 #include "bench_tenants.h"
 
+#include <bit>
 #include <chrono>
-#include <cstring>
 
 #include "mars/comap/engine.h"
 
@@ -72,18 +72,12 @@ comap::CoMapConfig make_config(const Options& options,
 /// bits, rollout detail, placements, history, and the memo counters the
 /// determinism contract covers.
 std::uint64_t comap_digest(const comap::CoMapResult& result) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t hash = 1469598103934665603ull;
+  std::uint64_t hash = util::kLegacyFnvOffset;
   const auto mix = [&](std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xffu;
-      hash *= kPrime;
-    }
+    hash = util::fnv1a_le(value, hash);
   };
   const auto mix_double = [&](double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
+    mix(std::bit_cast<std::uint64_t>(value));
   };
   const auto mix_score = [&](const comap::ServingObjective::Score& s) {
     mix_double(s.fitness);

@@ -30,20 +30,12 @@
 #include <unordered_map>
 
 #include "mars/explore/engine.h"
+#include "mars/util/hash.h"
 #include "mars/util/rng.h"
 #include "mars/util/worker_pool.h"
 
 namespace mars::bench {
 namespace {
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 /// One tuning for every method: a small fixed-budget inner GA (the smoke
 /// space mirrors tests/explore/test_golden_fronts.cpp; the full space
@@ -241,11 +233,14 @@ int run_smoke(const Options& options) {
   const explore::ExploreConfig threaded =
       make_config(options, model, /*small=*/true, /*threads=*/4);
   const explore::ExploreResult result = explore::ExploreEngine(serial).search();
-  const std::uint64_t reference = fnv1a(front_csv(result, serial));
-  const std::uint64_t at4 = fnv1a(
-      front_csv(explore::ExploreEngine(threaded).search(), threaded));
+  const auto digest = [](const std::string& csv) {
+    return util::fnv1a(csv, util::kLegacyFnvOffset);
+  };
+  const std::uint64_t reference = digest(front_csv(result, serial));
+  const std::uint64_t at4 =
+      digest(front_csv(explore::ExploreEngine(threaded).search(), threaded));
   const std::uint64_t repeat =
-      fnv1a(front_csv(explore::ExploreEngine(serial).search(), serial));
+      digest(front_csv(explore::ExploreEngine(serial).search(), serial));
 
   bool ok = true;
   const std::vector<explore::FrontPoint> members = result.front.points();

@@ -6,9 +6,9 @@
 // construction instead of by copy.
 #pragma once
 
+#include <bit>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -17,6 +17,7 @@
 #include "mars/serve/metrics.h"
 #include "mars/serve/scheduler.h"
 #include "mars/serve/service.h"
+#include "mars/util/hash.h"
 
 namespace mars::bench {
 
@@ -58,19 +59,12 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
 /// hash equal, any reorder or value drift hashes different. FNV-1a over
 /// the completed and rejected streams plus the scalar tallies.
 inline std::uint64_t result_digest(const serve::ServeResult& result) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t hash = 1469598103934665603ull;
+  std::uint64_t hash = util::kLegacyFnvOffset;
   const auto mix = [&](std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xffu;
-      hash *= kPrime;
-    }
+    hash = util::fnv1a_le(value, hash);
   };
   const auto mix_seconds = [&](Seconds s) {
-    std::uint64_t bits = 0;
-    const double count = s.count();
-    std::memcpy(&bits, &count, sizeof(bits));
-    mix(bits);
+    mix(std::bit_cast<std::uint64_t>(s.count()));
   };
   for (const serve::CompletedRequest& done : result.completed) {
     mix(static_cast<std::uint64_t>(done.request.id));

@@ -1,14 +1,13 @@
 #include "mars/comap/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <sstream>
 #include <utility>
 
+#include "mars/core/first_level.h"
 #include "mars/plan/engines.h"
 #include "mars/serve/service.h"
 #include "mars/util/error.h"
@@ -84,24 +83,7 @@ std::vector<topology::AccMask> decode_partition_genome(
       weight.assign(buckets, 1.0);
       total = static_cast<double>(buckets);
     }
-    std::vector<double> remainder(buckets);
-    int given = 0;
-    for (std::size_t i = 0; i < buckets; ++i) {
-      const double quota = spare * weight[i] / total;
-      extra[i] = static_cast<int>(std::floor(quota));
-      remainder[i] = quota - extra[i];
-      given += extra[i];
-    }
-    std::vector<std::size_t> order(buckets);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (remainder[a] != remainder[b]) return remainder[a] > remainder[b];
-      return a < b;  // deterministic tie-break: earlier bucket wins
-    });
-    for (int k = 0; given < spare; ++k) {
-      ++extra[order[static_cast<std::size_t>(k)]];
-      ++given;
-    }
+    extra = core::largest_remainder(spare, weight, total);
   }
 
   // Contiguous accelerator-id ranges in tenant order, shared pool last.

@@ -8,36 +8,18 @@
 #include "mars/serve/workload.h"
 #include "mars/sim/executor.h"
 #include "mars/util/error.h"
-#include "mars/util/worker_pool.h"
+#include "mars/util/hash.h"
 
 namespace mars::comap {
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(const std::string& bytes, std::uint64_t h = kFnvOffset) {
-  for (const char c : bytes) {
-    h = (h ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a(std::uint64_t value, std::uint64_t h) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((value >> (8 * i)) & 0xff)) * kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 ServingObjective::ServingObjective(const CoMapProblem& problem)
     : problem_(&problem),
       rollout_hits_(&metrics_.counter("comap.rollout.hits")),
       rollout_misses_(&metrics_.counter("comap.rollout.misses")),
       proto_hits_(&metrics_.counter("comap.proto.hits")),
-      proto_misses_(&metrics_.counter("comap.proto.misses")) {
+      proto_misses_(&metrics_.counter("comap.proto.misses")),
+      artifacts_(proto_hits_, proto_misses_),
+      rollouts_(rollout_hits_, rollout_misses_) {
   problem.validate();
   planners_.reserve(problem.tenants.size());
   slos_.reserve(problem.tenants.size());
@@ -88,25 +70,20 @@ std::uint64_t ServingObjective::mapping_signature(std::size_t t,
       core::to_json(mapping, planners_[t].spine(), *problem_->designs,
                     problem_->adaptive)
           .dump();
-  return fnv1a(bytes, fnv1a(static_cast<std::uint64_t>(t), kFnvOffset));
+  return util::fnv1a(bytes, util::fnv1a_le(static_cast<std::uint64_t>(t),
+                                           util::kLegacyFnvOffset));
 }
 
 const ServingObjective::Artifact& ServingObjective::artifact(
     std::size_t t, const core::Mapping& mapping, std::uint64_t signature) {
-  const auto key = std::make_pair(t, signature);
-  if (const auto it = artifacts_.find(key); it != artifacts_.end()) {
-    proto_hits_->add();
-    return *it->second;
-  }
-  proto_misses_->add();
-  auto artifact = std::make_unique<Artifact>();
-  const core::MappingEvaluator evaluator(planners_[t].problem());
-  artifact->proto = evaluator.build_task_graph(mapping);
-  artifact->flat = sim::FlatTaskGraph::from(artifact->proto);
-  const sim::Executor executor(*problem_->topo,
-                               planners_[t].problem().sim_params);
-  artifact->single_latency = executor.run(artifact->proto).makespan;
-  return *artifacts_.emplace(key, std::move(artifact)).first->second;
+  return artifacts_.get({t, signature}, &mapping, [&](const core::Mapping* m) {
+    const core::Problem& problem = planners_[t].problem();
+    const sim::TaskGraph proto =
+        core::MappingEvaluator(problem).build_task_graph(*m);
+    const sim::Executor executor(*problem_->topo, problem.sim_params);
+    return Artifact{sim::FlatTaskGraph::from(proto),
+                    executor.run(proto).makespan};
+  });
 }
 
 ServingObjective::Score ServingObjective::rollout(
@@ -145,89 +122,48 @@ ServingObjective::Score ServingObjective::rollout(
 }
 
 ServingObjective::Score ServingObjective::score(const CandidatePlan& plan) {
-  MARS_CHECK_ARG(plan.size() == planners_.size(),
-                 "candidate carries " << plan.size() << " mappings for "
-                                      << planners_.size() << " tenants");
-  std::vector<const Artifact*> parts(plan.size());
-  std::uint64_t combined = kFnvOffset;
-  for (std::size_t t = 0; t < plan.size(); ++t) {
-    const std::uint64_t sig = mapping_signature(t, plan[t]);
-    parts[t] = &artifact(t, plan[t], sig);
-    combined = fnv1a(sig, combined);
-  }
-  if (const auto it = rollouts_.find(combined); it != rollouts_.end()) {
-    rollout_hits_->add();
-    return it->second;
-  }
-  rollout_misses_->add();
-  return rollouts_.emplace(combined, rollout(parts)).first->second;
+  return *score_all({&plan, 1}, nullptr).front();
 }
 
 std::vector<double> ServingObjective::score_batch(
     const std::vector<CandidatePlan>& plans, util::WorkerPool* pool) {
-  // Phase 1 (serial): signatures, artifact materialisation, and the
-  // hit/miss sweep — the first appearance of a combined signature in the
-  // batch is the miss, every later one a hit, exactly as a serial
-  // left-to-right score() sweep would charge them.
-  std::vector<std::uint64_t> keys(plans.size());
-  struct Missing {
-    std::uint64_t key;
-    std::vector<const Artifact*> parts;
-  };
-  std::vector<Missing> missing;
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    MARS_CHECK_ARG(plans[i].size() == planners_.size(),
-                   "candidate carries " << plans[i].size() << " mappings for "
-                                        << planners_.size() << " tenants");
-    std::vector<const Artifact*> parts(plans[i].size());
-    std::uint64_t combined = kFnvOffset;
-    for (std::size_t t = 0; t < plans[i].size(); ++t) {
-      const std::uint64_t sig = mapping_signature(t, plans[i][t]);
-      parts[t] = &artifact(t, plans[i][t], sig);
-      combined = fnv1a(sig, combined);
-    }
-    keys[i] = combined;
-    const bool cached = rollouts_.contains(combined);
-    bool in_batch = false;
-    if (!cached) {
-      for (const Missing& m : missing) {
-        if (m.key == combined) {
-          in_batch = true;
-          break;
-        }
-      }
-    }
-    if (cached || in_batch) {
-      rollout_hits_->add();
-    } else {
-      rollout_misses_->add();
-      missing.push_back(Missing{combined, std::move(parts)});
-    }
-  }
-
-  // Phase 2: price the deduped missing rollouts — each a pure function of
-  // its artifact set and the shared arrival stream — in parallel.
-  std::vector<Score> priced(missing.size());
-  const auto price = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t j = begin; j < end; ++j) {
-      priced[j] = rollout(missing[j].parts);
-    }
-  };
-  if (pool != nullptr && missing.size() > 1) {
-    pool->parallel_for(missing.size(), price);
-  } else {
-    price(0, missing.size());
-  }
-
-  // Phase 3 (serial): publish in first-seen order, then read back.
-  for (std::size_t j = 0; j < missing.size(); ++j) {
-    rollouts_.emplace(missing[j].key, priced[j]);
-  }
-  std::vector<double> fitness(plans.size());
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    fitness[i] = rollouts_.at(keys[i]).fitness;
+  std::vector<double> fitness;
+  fitness.reserve(plans.size());
+  for (const Score* score : score_all(plans, pool)) {
+    fitness.push_back(score->fitness);
   }
   return fitness;
+}
+
+std::vector<const ServingObjective::Score*> ServingObjective::score_all(
+    std::span<const CandidatePlan> plans, util::WorkerPool* pool) {
+  // Signatures and artifacts are materialised during the serial probe (the
+  // artifact memo mutates); the rollouts are the sweep's parallel step.
+  RolloutMemo::Sweep sweep = rollouts_.sweep();
+  std::vector<RolloutMemo::Ticket> tickets;
+  tickets.reserve(plans.size());
+  for (const CandidatePlan& plan : plans) {
+    MARS_CHECK_ARG(plan.size() == planners_.size(),
+                   "candidate carries " << plan.size() << " mappings for "
+                                        << planners_.size() << " tenants");
+    std::vector<const Artifact*> parts(plan.size());
+    std::uint64_t combined = util::kLegacyFnvOffset;
+    for (std::size_t t = 0; t < plan.size(); ++t) {
+      const std::uint64_t sig = mapping_signature(t, plan[t]);
+      parts[t] = &artifact(t, plan[t], sig);
+      combined = util::fnv1a_le(sig, combined);
+    }
+    tickets.push_back(sweep.probe(combined, std::move(parts)));
+  }
+  sweep.resolve(pool, [this](const std::vector<const Artifact*>& parts) {
+    return rollout(parts);
+  });
+  std::vector<const Score*> scores;
+  scores.reserve(tickets.size());
+  for (const RolloutMemo::Ticket& ticket : tickets) {
+    scores.push_back(&sweep[ticket]);
+  }
+  return scores;
 }
 
 }  // namespace mars::comap

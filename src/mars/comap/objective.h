@@ -14,16 +14,15 @@
 // (shed requests included), tie-broken by a bounded-[0, 1) transform of
 // the fleet p99 so equal-goodput candidates prefer the lower tail.
 //
-// Determinism contract (the PR 5 dedupe-then-parallel-price discipline):
-// score_batch sweeps candidate signatures serially (charging the first
-// appearance of a signature as the miss and every later one as a hit),
-// materialises missing per-tenant artifacts serially, prices the deduped
-// missing rollouts in parallel on a util::WorkerPool (each rollout is a
-// pure function of its candidate + the shared arrival stream), and
-// publishes serially in first-seen order. Fitness values AND the
-// hit/miss counters are byte-identical at any thread count. Candidate
-// identity is an FNV-1a hash of the lossless core/serialize.* JSON form,
-// so two structurally equal mappings always share one rollout.
+// Determinism contract: score_batch is one util::MemoBatch sweep keyed by
+// candidate signature. Per-tenant artifacts are materialised during the
+// serial probe; the deduped missing rollouts (each a pure function of its
+// candidate + the shared arrival stream) are priced on a util::WorkerPool
+// and published in first-seen order, and score() is the same sweep over
+// one candidate. Fitness values AND the hit/miss counters are
+// byte-identical at any thread count. Candidate identity is an FNV-1a hash
+// of the lossless core/serialize.* JSON form, so two structurally equal
+// mappings always share one rollout.
 //
 // Rollouts run with SchedulerOptions::quiet — a search replays thousands
 // of candidate fleets; none of them may leak into the user's trace or
@@ -33,9 +32,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mars/comap/problem.h"
@@ -43,10 +42,8 @@
 #include "mars/plan/planner.h"
 #include "mars/serve/scheduler.h"
 #include "mars/sim/task_graph.h"
-
-namespace mars::util {
-class WorkerPool;
-}
+#include "mars/util/hash.h"
+#include "mars/util/memo_batch.h"
 
 namespace mars::comap {
 
@@ -113,10 +110,9 @@ class ServingObjective {
 
  private:
   /// The serving-side compile of one tenant mapping: what a ServedModel
-  /// view points at. Held behind unique_ptr so the flat graph's address
-  /// is stable across memo growth.
+  /// view points at. Memoised values never move, so the flat graph's
+  /// address is stable across memo growth.
   struct Artifact {
-    sim::TaskGraph proto;
     sim::FlatTaskGraph flat;
     Seconds single_latency{};
   };
@@ -131,6 +127,9 @@ class ServingObjective {
                                          std::uint64_t signature);
   /// The pure rollout: replays arrivals_ against the artifact set.
   [[nodiscard]] Score rollout(const std::vector<const Artifact*>& artifacts) const;
+  /// One memo sweep over `plans`: the score of each, in order.
+  [[nodiscard]] std::vector<const Score*> score_all(
+      std::span<const CandidatePlan> plans, util::WorkerPool* pool);
 
   const CoMapProblem* problem_;
   std::vector<plan::Planner> planners_;
@@ -138,23 +137,26 @@ class ServingObjective {
   std::vector<serve::Request> arrivals_;
   serve::SchedulerOptions sched_options_;
 
-  /// (tenant, mapping-signature) -> compiled artifact.
-  struct ArtifactKeyHash {
-    std::size_t operator()(const std::pair<std::size_t, std::uint64_t>& k) const {
-      return (k.second ^ k.first) * 1099511628211ull;
-    }
-  };
-  std::unordered_map<std::pair<std::size_t, std::uint64_t>,
-                     std::unique_ptr<Artifact>, ArtifactKeyHash>
-      artifacts_;
-  /// Combined candidate signature -> rollout score.
-  std::unordered_map<std::uint64_t, Score> rollouts_;
-
   obs::MetricsRegistry metrics_;
   obs::Counter* rollout_hits_;
   obs::Counter* rollout_misses_;
   obs::Counter* proto_hits_;
   obs::Counter* proto_misses_;
+
+  /// (tenant, mapping-signature) -> compiled artifact.
+  using ArtifactKey = std::pair<std::size_t, std::uint64_t>;
+  struct ArtifactKeyHash {
+    std::size_t operator()(const ArtifactKey& k) const {
+      return util::fnv1a_word(k.first, k.second);
+    }
+  };
+  util::MemoBatch<ArtifactKey, Artifact, const core::Mapping*, ArtifactKeyHash>
+      artifacts_;
+  /// Combined candidate signature -> rollout score, priced from the
+  /// candidate's artifacts.
+  using RolloutMemo =
+      util::MemoBatch<std::uint64_t, Score, std::vector<const Artifact*>>;
+  RolloutMemo rollouts_;
 };
 
 }  // namespace mars::comap

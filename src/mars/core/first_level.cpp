@@ -57,9 +57,8 @@ std::vector<int> FirstLevelCodec::decode_counts(
   // Shares: proportional layer allocation with a small floor so a set only
   // drops out when its gene is pushed firmly to zero. Scratch buffers are
   // thread_local because this sits on the hottest decode path (every full
-  // decode and most retraces) and decode_batch fans decodes across the
+  // decode and most retraces) and fitness_batch fans decodes across the
   // worker pool.
-  const int num_layers = problem_->spine->size();
   thread_local std::vector<double> shares;
   shares.clear();
   shares.reserve(candidate.size());
@@ -73,17 +72,21 @@ std::vector<int> FirstLevelCodec::decode_counts(
     shares.assign(candidate.size(), 1.0);
     share_sum = static_cast<double>(candidate.size());
   }
+  return largest_remainder(problem_->spine->size(), shares, share_sum);
+}
 
-  // Largest-remainder rounding to exactly num_layers. The descending
-  // stable insertion sort below yields the same (unique) permutation
-  // std::stable_sort would: equal remainders keep their index order.
-  std::vector<int> counts(candidate.size(), 0);
+std::vector<int> largest_remainder(int total, const std::vector<double>& weights,
+                                   double weight_sum) {
+  // The descending stable insertion sort below yields the same (unique)
+  // permutation std::stable_sort would: equal remainders keep their index
+  // order. Scratch is thread_local: this runs on every genome decode.
+  std::vector<int> counts(weights.size(), 0);
   thread_local std::vector<std::pair<double, std::size_t>> remainders;
   remainders.clear();
-  remainders.reserve(candidate.size());
+  remainders.reserve(weights.size());
   int allocated = 0;
-  for (std::size_t i = 0; i < candidate.size(); ++i) {
-    const double exact = num_layers * shares[i] / share_sum;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const double exact = total * weights[i] / weight_sum;
     counts[i] = static_cast<int>(exact);
     allocated += counts[i];
     remainders.emplace_back(exact - counts[i], i);
@@ -97,8 +100,8 @@ std::vector<int> FirstLevelCodec::decode_counts(
     }
     remainders[k] = x;
   }
-  for (int extra = num_layers - allocated; extra > 0; --extra) {
-    counts[remainders[static_cast<std::size_t>(num_layers - allocated - extra) %
+  for (int extra = total - allocated; extra > 0; --extra) {
+    counts[remainders[static_cast<std::size_t>(total - allocated - extra) %
                       remainders.size()]
                .second] += 1;
   }

@@ -23,6 +23,14 @@ struct Skeleton {
   std::vector<LayerAssignment> sets;  // strategies empty
 };
 
+/// Largest-remainder rounding of `total` units over `weights` (each >= 0,
+/// summing to `weight_sum` > 0): every bucket gets floor(total * w / sum),
+/// then the leftover units go one each in descending-remainder order, ties
+/// to the lower index. The layer allocation below and the comap partition
+/// decode both round with it; each clamps its own weights first.
+[[nodiscard]] std::vector<int> largest_remainder(
+    int total, const std::vector<double>& weights, double weight_sum);
+
 class FirstLevelCodec {
  public:
   FirstLevelCodec(const Problem& problem,

@@ -1,7 +1,6 @@
 #include "mars/core/skeleton_space.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "mars/core/baseline.h"
 #include "mars/util/error.h"
@@ -47,7 +46,8 @@ SkeletonSpace::SkeletonSpace(const Problem& problem, const Config& config)
       record_misses_(&metrics_.counter("search.space.records.misses")),
       record_evictions_(&metrics_.counter("search.space.records.evictions")),
       delta_unchanged_(&metrics_.counter("search.space.delta.unchanged")),
-      delta_bails_(&metrics_.counter("search.space.delta.bails")) {}
+      delta_bails_(&metrics_.counter("search.space.delta.bails")),
+      memo_(memo_hits_, memo_misses_) {}
 
 SkeletonSpace::~SkeletonSpace() {
   if (obs::MetricsRegistry* global = obs::metrics()) {
@@ -57,15 +57,10 @@ SkeletonSpace::~SkeletonSpace() {
 
 const SecondLevelResult& SkeletonSpace::second_level_for(
     const LayerAssignment& skeleton) {
-  const CacheKey key{skeleton.begin, skeleton.end, skeleton.accs,
-                     skeleton.design};
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    memo_hits_->add();
-    return it->second;
-  }
-  memo_misses_->add();
-  return cache_.emplace(key, second_.greedy(skeleton)).first->second;
+  return memo_.get(key_of(skeleton), &skeleton,
+                   [this](const LayerAssignment* set) {
+                     return second_.greedy(*set);
+                   });
 }
 
 double SkeletonSpace::fitness(const Skeleton& skeleton) {
@@ -81,71 +76,42 @@ double SkeletonSpace::fitness(const Skeleton& skeleton) {
       .count();
 }
 
-std::vector<std::vector<Seconds>> SkeletonSpace::price_batch(
-    const std::vector<Skeleton>& skeletons, util::WorkerPool* pool) {
-  // Phase 1 (serial): one left-to-right sweep over the batch collecting
-  // the keys the cache does not hold yet. The first appearance of a key
-  // is charged as the miss (and carries the LayerAssignment the greedy
-  // search will run on), every later appearance as a hit — the exact
-  // counts a serial evaluation would record. Cached latencies are read
-  // out during the same probe; only keys priced this batch wait for a
-  // second read after the publish.
-  std::vector<LayerAssignment> missing;
-  std::unordered_set<CacheKey, CacheKeyHash> scheduled;
-  std::vector<std::vector<Seconds>> latencies(skeletons.size());
-  std::vector<std::vector<std::size_t>> pending(skeletons.size());
+void SkeletonSpace::price_sets(const std::vector<Skeleton>& skeletons,
+                               const std::vector<SetRange>& ranges,
+                               std::vector<std::vector<Seconds>>& latencies,
+                               util::WorkerPool* pool) {
+  Memo::Sweep sweep = memo_.sweep();
+  std::vector<std::pair<Seconds*, Memo::Ticket>> pending;
   for (std::size_t i = 0; i < skeletons.size(); ++i) {
     const auto& sets = skeletons[i].sets;
-    latencies[i].resize(sets.size());
-    for (std::size_t s = 0; s < sets.size(); ++s) {
-      const LayerAssignment& set = sets[s];
-      const CacheKey key{set.begin, set.end, set.accs, set.design};
-      if (const auto it = cache_.find(key); it != cache_.end()) {
-        memo_hits_->add();
-        latencies[i][s] = it->second.cost.penalized;
-        continue;
-      }
-      if (scheduled.contains(key)) {
-        memo_hits_->add();
+    for (std::size_t s = ranges[i].first; s < ranges[i].second; ++s) {
+      const Memo::Ticket ticket = sweep.probe(key_of(sets[s]), &sets[s]);
+      if (ticket.cached != nullptr) {
+        latencies[i][s] = ticket.cached->cost.penalized;
       } else {
-        memo_misses_->add();
-        scheduled.insert(key);
-        missing.push_back(set);
+        pending.emplace_back(&latencies[i][s], ticket);
       }
-      pending[i].push_back(s);
     }
   }
-
-  // Phase 2 (parallel): price the missing keys. greedy() is a pure const
-  // function of the key, so any assignment of keys to threads yields the
-  // same results; the pool's static partitioning makes it deterministic
-  // by construction.
-  std::vector<SecondLevelResult> computed(missing.size());
-  const auto price = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      computed[i] = second_.greedy(missing[i]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(missing.size(), price);
-  } else {
-    price(0, missing.size());
+  // greedy() is a pure const function of the key, so the sweep may price
+  // the new keys on any thread.
+  sweep.resolve(pool, [this](const LayerAssignment* set) {
+    return second_.greedy(*set);
+  });
+  for (const auto& [latency, ticket] : pending) {
+    *latency = sweep[ticket].cost.penalized;
   }
+}
 
-  // Phase 3 (serial): publish in first-seen order, then fill the latency
-  // slots that waited on this batch's pricing from the now-warm cache.
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    const LayerAssignment& set = missing[i];
-    cache_.emplace(CacheKey{set.begin, set.end, set.accs, set.design},
-                   std::move(computed[i]));
-  }
+std::vector<std::vector<Seconds>> SkeletonSpace::price_batch(
+    const std::vector<Skeleton>& skeletons, util::WorkerPool* pool) {
+  std::vector<std::vector<Seconds>> latencies(skeletons.size());
+  std::vector<SetRange> ranges(skeletons.size());
   for (std::size_t i = 0; i < skeletons.size(); ++i) {
-    for (const std::size_t s : pending[i]) {
-      const LayerAssignment& set = skeletons[i].sets[s];
-      latencies[i][s] = cache_.at({set.begin, set.end, set.accs, set.design})
-                            .cost.penalized;
-    }
+    latencies[i].resize(skeletons[i].sets.size());
+    ranges[i] = {0, skeletons[i].sets.size()};
   }
+  price_sets(skeletons, ranges, latencies, pool);
   return latencies;
 }
 
@@ -161,22 +127,6 @@ std::vector<double> SkeletonSpace::fitness_batch(
                             .count());
   }
   return fitnesses;
-}
-
-std::vector<Skeleton> SkeletonSpace::decode_batch(
-    const std::vector<ga::Genome>& genomes, util::WorkerPool* pool) const {
-  std::vector<Skeleton> skeletons(genomes.size());
-  const auto decode = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      skeletons[i] = codec_.decode(genomes[i]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(genomes.size(), decode);
-  } else {
-    decode(0, genomes.size());
-  }
-  return skeletons;
 }
 
 std::vector<double> SkeletonSpace::fitness_batch(
@@ -218,34 +168,30 @@ std::vector<double> SkeletonSpace::fitness_delta_batch(
                  "one GenomeDelta per child required");
   const std::size_t n = children.size();
 
-  // Phase 1 (serial): decode each child — incrementally when its parent's
-  // record is on hand — and run the same left-to-right hit/miss sweep as
-  // price_batch. When retrace() reports the move left the decode trace
-  // untouched (the common case for small engine moves), the child's
-  // skeleton is the parent's, so the whole evaluation short-circuits:
-  // every set is a hit and the fitness is the parent's double verbatim —
-  // exactly what re-aggregating the identical sets and latencies would
-  // return — and the child's record aliases the parent payload without
-  // assembling, copying, or aggregating anything. For genuinely changed
-  // skeletons, boundary moves shift only the sets between the two touched
-  // entries, so the positionally unchanged prefix and suffix of the set
-  // list reuse the parent's latencies and are charged as hits outright:
-  // records only describe published skeletons and the cache never evicts,
-  // so the full path would find those keys in cache_ too. Parent payloads
-  // are held by shared_ptr, so a records_ eviction inside remember()
-  // cannot invalidate them.
+  // Decode each child — incrementally when its parent's record is on hand —
+  // and pick the sets left to price. When retrace() reports the move left
+  // the decode trace untouched (the common case for small engine moves),
+  // the child's skeleton is the parent's, so the whole evaluation
+  // short-circuits: every set is a hit and the fitness is the parent's
+  // double verbatim — exactly what re-aggregating the identical sets and
+  // latencies would return — and the child's record aliases the parent
+  // payload without assembling, copying, or aggregating anything. For
+  // genuinely changed skeletons, boundary moves shift only the sets between
+  // the two touched entries, so the positionally unchanged prefix and
+  // suffix of the set list reuse the parent's latencies and are charged as
+  // hits outright: records only describe published skeletons and the cache
+  // never evicts, so the full path would find those keys in memo_ too.
+  // Parent payloads are held by shared_ptr, so a records_ eviction inside
+  // remember() cannot invalidate them.
   std::vector<Skeleton> skeletons(n);
   std::vector<FirstLevelCodec::DecodeTrace> traces(n);
   std::vector<char> unchanged(n, 0);
   std::vector<std::vector<Seconds>> latencies(n);
-  std::vector<std::vector<std::size_t>> pending(n);
+  std::vector<SetRange> ranges(n);
   std::vector<EvalRecord> parent_records(parents.size());
   std::vector<char> parent_looked(parents.size(), 0);
-  std::vector<LayerAssignment> missing;
-  std::unordered_set<CacheKey, CacheKeyHash> scheduled;
   const auto same_key = [](const LayerAssignment& a, const LayerAssignment& b) {
-    return a.begin == b.begin && a.end == b.end && a.accs == b.accs &&
-           a.design == b.design;
+    return key_of(a) == key_of(b);
   };
   for (std::size_t i = 0; i < n; ++i) {
     MARS_CHECK_ARG(deltas[i].parent < parents.size(),
@@ -253,7 +199,7 @@ std::vector<double> SkeletonSpace::fitness_delta_batch(
                                          << " outside a cohort of "
                                          << parents.size());
     // recall() once per distinct parent: records_ cannot change before
-    // phase 3, and the shared_ptr keeps every looked-up payload alive.
+    // the publish, and the shared_ptr keeps every looked-up payload alive.
     const std::size_t p = deltas[i].parent;
     if (!parent_looked[p]) {
       parent_records[p] = recall(parents[p]);
@@ -309,48 +255,13 @@ std::vector<double> SkeletonSpace::fitness_delta_batch(
       }
       memo_hits_->add(static_cast<long long>(prefix + suffix));
     }
-    for (std::size_t s = prefix; s < count - suffix; ++s) {
-      const LayerAssignment& set = sets[s];
-      const CacheKey key{set.begin, set.end, set.accs, set.design};
-      if (const auto it = cache_.find(key); it != cache_.end()) {
-        memo_hits_->add();
-        latencies[i][s] = it->second.cost.penalized;
-        continue;
-      }
-      if (scheduled.contains(key)) {
-        memo_hits_->add();
-      } else {
-        memo_misses_->add();
-        scheduled.insert(key);
-        missing.push_back(set);
-      }
-      pending[i].push_back(s);
-    }
+    ranges[i] = {prefix, count - suffix};
   }
 
-  // Phase 2 (parallel): identical to price_batch — the genuinely new keys
-  // fan across the pool.
-  std::vector<SecondLevelResult> computed(missing.size());
-  const auto price = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      computed[i] = second_.greedy(missing[i]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(missing.size(), price);
-  } else {
-    price(0, missing.size());
-  }
-
-  // Phase 3 (serial): publish in first-seen order, then aggregate.
+  // Price the remaining sets in child order, then aggregate.
   // Parent-matched sets reuse the recorded latency — the exact double
-  // copied out of the same cache entry — and everything else reads the
-  // warm cache.
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    const LayerAssignment& set = missing[i];
-    cache_.emplace(CacheKey{set.begin, set.end, set.accs, set.design},
-                   std::move(computed[i]));
-  }
+  // copied out of the same memo entry.
+  price_sets(skeletons, ranges, latencies, pool);
   std::vector<double> fitnesses(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (unchanged[i]) {
@@ -360,11 +271,6 @@ std::vector<double> SkeletonSpace::fitness_delta_batch(
       fitnesses[i] = record->fitness;
       remember(children[i], record);
       continue;
-    }
-    for (const std::size_t s : pending[i]) {
-      const LayerAssignment& set = skeletons[i].sets[s];
-      latencies[i][s] = cache_.at({set.begin, set.end, set.accs, set.design})
-                            .cost.penalized;
     }
     fitnesses[i] = evaluator_.analytical()
                        .aggregate_makespan(skeletons[i].sets, latencies[i])

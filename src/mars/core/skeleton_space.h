@@ -14,17 +14,19 @@
 // SkeletonSpace across a search amortises second-level work exactly as
 // Mars::cache_ used to.
 //
-// Parallelism: fitness_batch() prices many skeletons at once, fanning the
-// uncached second-level searches across a util::WorkerPool. Results are
-// byte-identical to serial evaluation (the greedy oracle is a pure
-// function of the cache key), and so are the hit/miss counters: the
-// first appearance of a key in a batch is the miss, every later one a
-// hit, exactly as a serial left-to-right sweep would count them.
+// Parallelism: fitness_batch() prices many skeletons as one
+// util::MemoBatch sweep, fanning the uncached second-level searches across
+// a util::WorkerPool. Results are byte-identical to serial evaluation (the
+// greedy oracle is a pure function of the cache key), and so are the
+// hit/miss counters: the first appearance of a key in a batch is the miss,
+// every later one a hit, exactly as a serial left-to-right sweep would
+// count them.
 #pragma once
 
-#include <cstring>
+#include <bit>
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mars/accel/profiler.h"
@@ -32,10 +34,8 @@
 #include "mars/core/first_level.h"
 #include "mars/core/second_level.h"
 #include "mars/obs/metrics.h"
-
-namespace mars::util {
-class WorkerPool;
-}
+#include "mars/util/hash.h"
+#include "mars/util/memo_batch.h"
 
 namespace mars::core {
 
@@ -87,11 +87,6 @@ class SkeletonSpace {
   [[nodiscard]] std::vector<double> fitness_batch(
       const std::vector<ga::Genome>& genomes, util::WorkerPool* pool = nullptr);
 
-  /// The parallel decode underlying the genome overload.
-  [[nodiscard]] std::vector<Skeleton> decode_batch(
-      const std::vector<ga::Genome>& genomes,
-      util::WorkerPool* pool = nullptr) const;
-
   /// fitness_batch(children, pool), but told how each child differs from a
   /// parent genome in `parents`. A child whose parent this object priced
   /// recently (the genome fitness paths keep a bounded record per genome)
@@ -142,26 +137,22 @@ class SkeletonSpace {
     auto operator<=>(const CacheKey&) const = default;
   };
 
-  /// Order-free mixing of the key fields. The cache is only ever probed by
-  /// key (never iterated), so hashing instead of ordering is observable
-  /// solely as speed.
+  /// Word-at-a-time FNV-1a over the key fields. The cache is only ever
+  /// probed by key (never iterated), so hashing instead of ordering is
+  /// observable solely as speed.
   struct CacheKeyHash {
     std::size_t operator()(const CacheKey& key) const {
-      std::size_t h = 1469598103934665603ull;
-      const auto mix = [&h](unsigned long long bits) {
-        h = (h ^ bits) * 1099511628211ull;
-      };
-      mix(static_cast<unsigned long long>(static_cast<unsigned>(key.begin)));
-      mix(static_cast<unsigned long long>(static_cast<unsigned>(key.end)));
-      mix(static_cast<unsigned long long>(key.accs));
-      mix(static_cast<unsigned long long>(static_cast<unsigned>(key.design)));
-      return h;
+      std::uint64_t h = util::fnv1a_word(static_cast<unsigned>(key.begin),
+                                         util::kLegacyFnvOffset);
+      h = util::fnv1a_word(static_cast<unsigned>(key.end), h);
+      h = util::fnv1a_word(key.accs, h);
+      return util::fnv1a_word(static_cast<unsigned>(key.design), h);
     }
   };
 
   /// One priced genome, kept so the next generation's mutants can reuse
   /// its decode trace and per-set latencies. Invariant: every set of
-  /// `skeleton` has been published to cache_ (which never evicts), so a
+  /// `skeleton` has been published to memo_ (which never evicts), so a
   /// set matching a recorded parent set is always a cache hit — the delta
   /// path may charge it as one without a map lookup.
   struct EvalPayload {
@@ -176,13 +167,24 @@ class SkeletonSpace {
   /// holds it.
   using EvalRecord = std::shared_ptr<const EvalPayload>;
 
+  [[nodiscard]] static CacheKey key_of(const LayerAssignment& set) {
+    return {set.begin, set.end, set.accs, set.design};
+  }
+
   [[nodiscard]] const SecondLevelResult& second_level_for(
       const LayerAssignment& skeleton);
 
-  /// Phases 1-3 shared by every batch path: the serial hit/miss key sweep,
-  /// the (optionally pooled) greedy pricing of deduped missing keys, the
-  /// first-seen-order publish, and the per-skeleton penalized latencies
-  /// read back from the warm cache.
+  using Memo = util::MemoBatch<CacheKey, SecondLevelResult,
+                               const LayerAssignment*, CacheKeyHash>;
+  using SetRange = std::pair<std::size_t, std::size_t>;  // [first, second)
+
+  /// One memo sweep: the penalized latency of every set in ranges[i] of
+  /// skeletons[i], written into the pre-sized latencies[i].
+  void price_sets(const std::vector<Skeleton>& skeletons,
+                  const std::vector<SetRange>& ranges,
+                  std::vector<std::vector<Seconds>>& latencies,
+                  util::WorkerPool* pool);
+  /// price_sets over every set of every skeleton.
   [[nodiscard]] std::vector<std::vector<Seconds>> price_batch(
       const std::vector<Skeleton>& skeletons, util::WorkerPool* pool);
 
@@ -196,7 +198,6 @@ class SkeletonSpace {
   FirstLevelCodec codec_;
   SecondLevelSearch second_;
   MappingEvaluator evaluator_;
-  std::unordered_map<CacheKey, SecondLevelResult, CacheKeyHash> cache_;
   /// Instance metric registry backing the counters below (one per
   /// SkeletonSpace so per-search counts stay exact); the destructor folds
   /// it into the installed global registry. The Counter pointers are
@@ -210,17 +211,18 @@ class SkeletonSpace {
   obs::Counter* record_evictions_;
   obs::Counter* delta_unchanged_;
   obs::Counter* delta_bails_;
-  /// FNV-1a over the genome's byte representation. Hashing bit patterns is
-  /// sound here: equality stays the exact operator== on the doubles, and a
-  /// key the hash cannot find again (e.g. a NaN gene) merely forces the
-  /// exact full-path fallback.
+  /// Second-level memo per (layer range, AccSet, design), charging the
+  /// memo counters above.
+  Memo memo_;
+  /// Word-at-a-time FNV-1a over the genes' bit patterns. Hashing bit
+  /// patterns is sound here: equality stays the exact operator== on the
+  /// doubles, and a key the hash cannot find again (e.g. a NaN gene)
+  /// merely forces the exact full-path fallback.
   struct GenomeHash {
     std::size_t operator()(const ga::Genome& genome) const {
-      std::size_t h = 1469598103934665603ull;
+      std::uint64_t h = util::kLegacyFnvOffset;
       for (const double gene : genome) {
-        unsigned long long bits;
-        std::memcpy(&bits, &gene, sizeof bits);
-        h = (h ^ bits) * 1099511628211ull;
+        h = util::fnv1a_word(std::bit_cast<std::uint64_t>(gene), h);
       }
       return h;
     }

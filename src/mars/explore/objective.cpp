@@ -1,12 +1,12 @@
 #include "mars/explore/objective.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "mars/core/evaluator.h"
 #include "mars/plan/planner.h"
 #include "mars/serve/service.h"
 #include "mars/util/error.h"
+#include "mars/util/hash.h"
 #include "mars/util/logging.h"
 #include "mars/util/strings.h"
 
@@ -15,18 +15,6 @@ namespace {
 
 constexpr Objective kAllObjectives[] = {Objective::kMakespan, Objective::kEnergy,
                                         Objective::kCost};
-
-std::string fnv1a_hex(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buffer;
-}
 
 }  // namespace
 
@@ -174,55 +162,38 @@ PointOutcome PointPricer::price_one(const HardwarePoint& point) const {
   out.energy_j = summary.energy.count();
   out.sets = static_cast<int>(mapping.sets.size());
   out.memory_ok = summary.memory_ok;
-  out.mapping_digest = fnv1a_hex(
-      core::describe(mapping, planner.spine(), built.designs, /*adaptive=*/true));
+  out.mapping_digest = util::hex64(util::fnv1a(
+      core::describe(mapping, planner.spine(), built.designs, /*adaptive=*/true),
+      util::kLegacyFnvOffset));
   return out;
 }
 
 std::vector<const PointOutcome*> PointPricer::price(
     const std::vector<int>& indices) {
-  // Serial dedupe sweep: the first appearance of an unmemoised spec is
-  // the miss that gets priced; duplicates (including distinct indices
-  // sharing a spec, e.g. a preset mirrored in the grid) ride along.
-  std::vector<std::string> specs;
-  specs.reserve(indices.size());
-  std::vector<const HardwarePoint*> missing;
-  std::vector<std::string> missing_specs;
+  // Keyed by spec, so distinct indices sharing a spec (e.g. a preset
+  // mirrored in the grid) price once.
+  Memo::Sweep sweep = memo_.sweep();
+  std::vector<Memo::Ticket> tickets;
+  tickets.reserve(indices.size());
   for (const int index : indices) {
     MARS_CHECK_ARG(index >= 0 &&
                        index < static_cast<int>(space_->points().size()),
                    "point index " << index << " out of range");
     const HardwarePoint& point =
         space_->points()[static_cast<std::size_t>(index)];
-    std::string spec = point.spec();
-    if (memo_.find(spec) == memo_.end() &&
-        std::find(missing_specs.begin(), missing_specs.end(), spec) ==
-            missing_specs.end()) {
-      missing.push_back(&point);
-      missing_specs.push_back(spec);
-    }
-    specs.push_back(std::move(spec));
+    tickets.push_back(sweep.probe(point.spec(), &point));
   }
-
-  // Parallel price of the distinct misses, results written by index.
-  std::vector<PointOutcome> outcomes(missing.size());
-  pool_->parallel_for(missing.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      outcomes[i] = price_one(*missing[i]);
-    }
-  });
-
-  // Serial publish in first-seen order.
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    if (outcomes[i].from_cache) ++cache_hits_;
-    const auto [it, inserted] =
-        memo_.emplace(missing_specs[i], std::move(outcomes[i]));
-    order_.push_back(&it->second);
+  for (const PointOutcome* outcome :
+       sweep.resolve(pool_, [this](const HardwarePoint* point) {
+         return price_one(*point);
+       })) {
+    if (outcome->from_cache) ++cache_hits_;
+    order_.push_back(outcome);
   }
 
   std::vector<const PointOutcome*> result;
-  result.reserve(specs.size());
-  for (const std::string& spec : specs) result.push_back(&memo_.at(spec));
+  result.reserve(tickets.size());
+  for (const Memo::Ticket& ticket : tickets) result.push_back(&sweep[ticket]);
   return result;
 }
 

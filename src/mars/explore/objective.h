@@ -7,20 +7,18 @@
 //   cost     — relative hardware cost of the point (hardware_cost below).
 //
 // PointPricer owns the expensive part: one inner plan::SearchEngine run
-// per distinct hardware point. It follows the PR 5 dedupe-then-parallel-
-// price discipline — a serial sweep dedupes the requested points against
-// the memo (first appearance = miss), the distinct misses are priced
-// concurrently on a util::WorkerPool with results written by index, and
-// outcomes are published serially in first-seen order — so priced
-// outcomes (and everything derived from them) are byte-identical at any
-// --threads. An optional serve::MappingCache composes transparently: the
-// per-point fingerprint is the same one `mars_map map` and the serving
-// stack use, so explore warms the same cache it reads.
+// per distinct hardware point. Each price() call is one util::MemoBatch
+// sweep keyed by point spec — serial dedupe against the memo, the distinct
+// misses priced on a util::WorkerPool, outcomes published in first-seen
+// order — so priced outcomes (and everything derived from them) are
+// byte-identical at any --threads. An optional serve::MappingCache
+// composes transparently: the per-point fingerprint is the same one
+// `mars_map map` and the serving stack use, so explore warms the same
+// cache it reads.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mars/explore/front.h"
@@ -28,6 +26,7 @@
 #include "mars/plan/budget.h"
 #include "mars/plan/engine.h"
 #include "mars/serve/cache.h"
+#include "mars/util/memo_batch.h"
 #include "mars/util/worker_pool.h"
 
 namespace mars::explore {
@@ -112,7 +111,8 @@ class PointPricer {
   plan::Budget inner_budget_;
   const serve::MappingCache* cache_;
   util::WorkerPool* pool_;
-  std::unordered_map<std::string, PointOutcome> memo_;  // by point spec
+  using Memo = util::MemoBatch<std::string, PointOutcome, const HardwarePoint*>;
+  Memo memo_;  // by point spec
   std::vector<const PointOutcome*> order_;
   long long cache_hits_ = 0;
 };

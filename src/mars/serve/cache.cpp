@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +9,7 @@
 
 #include "mars/core/serialize.h"
 #include "mars/util/error.h"
+#include "mars/util/hash.h"
 #include "mars/util/logging.h"
 
 namespace mars::serve {
@@ -17,18 +17,14 @@ namespace {
 
 constexpr long long kCacheFormat = 1;
 
-/// 64-bit FNV-1a. The canonical text below feeds through this; the exact
-/// constant choice only has to be stable within the cache directory.
+/// FNV-1a over the canonical text of each field. The separator and the
+/// number-to-text formats are part of the cache file format: the hash
+/// names the files, so changing either orphans every existing entry.
 class Fnv1a {
  public:
   void mix(const std::string& text) {
-    for (const char c : text) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= 0x100000001b3ULL;
-    }
     // Separate fields so ("ab", "c") and ("a", "bc") differ.
-    hash_ ^= 0x1f;
-    hash_ *= 0x100000001b3ULL;
+    hash_ = util::fnv1a(kFieldSeparator, util::fnv1a(text, hash_));
   }
 
   void mix(long long value) { mix(std::to_string(value)); }
@@ -40,14 +36,11 @@ class Fnv1a {
     mix(std::string(buffer));
   }
 
-  [[nodiscard]] std::string hex() const {
-    char buffer[24];
-    std::snprintf(buffer, sizeof buffer, "%016" PRIx64, hash_);
-    return buffer;
-  }
+  [[nodiscard]] std::string hex() const { return util::hex64(hash_); }
 
  private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+  static constexpr std::string_view kFieldSeparator{"\x1f", 1};
+  std::uint64_t hash_ = util::kFnvOffset;
 };
 
 }  // namespace

@@ -8,23 +8,11 @@
 #include "mars/obs/metrics.h"
 #include "mars/obs/trace.h"
 #include "mars/util/error.h"
+#include "mars/util/hash.h"
 #include "mars/util/worker_pool.h"
 
 namespace mars::serve {
 namespace {
-
-/// FNV-1a, 64-bit. Fed explicit little-endian bytes so the hash — and
-/// therefore shard routing and every downstream result — is identical
-/// across platforms.
-inline std::uint64_t fnv1a_int(std::uint64_t hash, int value) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  auto bits = static_cast<std::uint32_t>(value);
-  for (int i = 0; i < 4; ++i) {
-    hash ^= (bits >> (8 * i)) & 0xffu;
-    hash *= kPrime;
-  }
-  return hash;
-}
 
 /// A shard that received no traffic still contributes its (idle)
 /// accelerators to the merged fleet view.
@@ -52,8 +40,12 @@ FleetPartition partition_fleet(int accelerators, int shards) {
 
 int shard_of(int model, int request_id, int shards) {
   if (shards <= 1) return 0;
-  constexpr std::uint64_t kOffset = 1469598103934665603ull;
-  const std::uint64_t hash = fnv1a_int(fnv1a_int(kOffset, model), request_id);
+  // Bytewise FNV-1a over explicit little-endian bytes, so routing — and
+  // every downstream result — is identical across platforms.
+  const std::uint64_t hash =
+      util::fnv1a_le(static_cast<std::uint32_t>(request_id),
+                     util::fnv1a_le(static_cast<std::uint32_t>(model),
+                                    util::kLegacyFnvOffset));
   return static_cast<int>(hash % static_cast<std::uint64_t>(shards));
 }
 
