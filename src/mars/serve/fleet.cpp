@@ -80,6 +80,7 @@ ServeResult merge_shard_results(std::vector<ServeResult> shard_results,
     merged.horizon = std::max(merged.horizon, shard.horizon);
     merged.tasks_executed += shard.tasks_executed;
     merged.batches_dispatched += shard.batches_dispatched;
+    merged.events += shard.events;
   }
   // The concatenation above is shard-major, so a stable sort keyed on
   // time alone resolves ties to (shard, intra-shard) order — the full

@@ -10,6 +10,7 @@
 #include "mars/obs/metrics.h"
 #include "mars/obs/trace.h"
 #include "mars/sim/event_queue.h"
+#include "mars/sim/wait_queue.h"
 #include "mars/util/arena.h"
 #include "mars/util/error.h"
 
@@ -22,8 +23,9 @@ using sim::TaskKind;
 /// per-task missing-dependency counters, in a single block sized by the
 /// model's task count. Blocks are recycled through a per-model intrusive
 /// free list the moment the request completes — by then every event that
-/// referenced the instance has been consumed (a task event exists only
-/// while its task is unfinished), so reuse is safe and deterministic.
+/// referenced the instance has been consumed and none of its tasks is
+/// parked in a wait queue (both exist only while their task is
+/// unfinished), so reuse is safe and deterministic.
 struct Instance {
   Request request;
   Seconds dispatch{};
@@ -40,6 +42,14 @@ struct Instance {
 static_assert(std::is_trivially_destructible_v<Instance>);
 static_assert(alignof(Instance) % alignof(int) == 0);
 
+/// Task `task` of `instance`, parked on a resource to start leg `leg` (0
+/// for compute): the handle the per-resource wait queues hold.
+struct Waiter {
+  Instance* instance = nullptr;
+  int task = -1;
+  int leg = 0;
+};
+
 struct Event {
   enum class Kind : std::uint8_t {
     kArrival,       // `request` enters its model's batcher
@@ -47,6 +57,7 @@ struct Event {
     kTryStart,      // task `index` of `instance`, leg `leg`, wants resources
     kLegDone,       // transfer task `index` of `instance` finished leg `leg`
     kTaskDone,      // compute task `index` of `instance` finished
+    kWake,          // resource `index`'s wait queue pops its front block
   };
   Kind kind;
   int index = -1;  // prototype task index or model id, depending on kind
@@ -55,9 +66,10 @@ struct Event {
   Request request;               // kArrival only
 };
 
-/// The mutable event-loop state for one run. Mirrors Executor::run, with
-/// two extensions: tasks are injected while the clock advances, and
-/// completions can feed back into the workload (closed loop).
+/// The mutable event-loop state for one run. Mirrors Executor::run (the
+/// same per-resource wait queues), with two extensions: tasks are injected
+/// while the clock advances, and completions can feed back into the
+/// workload (closed loop).
 class Engine {
  public:
   Engine(const topology::Topology& topo,
@@ -140,6 +152,7 @@ class Engine {
       completed_total_ = &registry->counter("serve.requests.completed");
       batches_total_ = &registry->counter("serve.batches.dispatched");
       tasks_total_ = &registry->counter("serve.tasks.executed");
+      events_total_ = &registry->counter("sim.events");
       latency_hist_ = &registry->histogram("serve.latency_seconds");
     }
   }
@@ -147,10 +160,14 @@ class Engine {
   /// Pre-sizes the run for a stream of `arrivals` requests: the event
   /// heap (every open-loop arrival is enqueued up front) and the result
   /// vectors. One fixed allocation each, so steady-state dispatch stays
-  /// heap-silent. The heap slack covers every task event of up to 16
-  /// concurrently live instances per model — an unfinished task holds at
-  /// most one outstanding event — which is exact under bounded admission
-  /// (shed:N, N <= 16); deeper configurations regrow the heap amortised.
+  /// heap-silent. A parked task holds no event, so besides the arrivals
+  /// the heap holds only ready tasks' try events, one completion per
+  /// running task and one wake per busy resource with waiters — all
+  /// bounded by the tasks of the live instances. The slack covers every
+  /// task of up to 16 live instances per model, which is a bound under
+  /// bounded admission (shed:N, N <= 16); deeper configurations regrow
+  /// the heap amortised. The wait queues' record pools are not pre-sized:
+  /// they grow to the peak number of parked tasks and are reused after.
   void reserve(std::size_t arrivals) {
     std::size_t task_slack = 64;
     for (const sim::FlatTaskGraph* flat : flats_) {
@@ -188,6 +205,7 @@ class Engine {
       }
       if (!flushed) break;
     }
+    if (events_total_ != nullptr) events_total_->add(result_.events);
     MARS_CHECK(admitted_ == static_cast<long long>(result_.completed.size()),
                "serving deadlock: "
                    << admitted_ -
@@ -200,6 +218,7 @@ class Engine {
   void drain_events() {
     while (!queue_.empty()) {
       const Event event = queue_.pop(now_);
+      ++result_.events;
       switch (event.kind) {
         case Event::Kind::kArrival:
           handle_arrival(event.request);
@@ -216,6 +235,12 @@ class Engine {
         case Event::Kind::kTaskDone:
           finish_task(event.instance, event.index);
           break;
+        case Event::Kind::kWake: {
+          const auto r = static_cast<std::size_t>(event.index);
+          waits_.wake(r, now_, free_[r], queue_, event,
+                      [&](const Waiter& waiter) { start(waiter, r); });
+          break;
+        }
       }
     }
   }
@@ -277,7 +302,7 @@ class Engine {
 
   /// Queueing-delay estimate for a request arriving now: the deepest
   /// backlog among the model's accelerators — remaining time of the
-  /// running task (acc_free) plus compute already admitted but not yet
+  /// running task (its free time) plus compute already admitted but not yet
   /// started (queued_work) — plus the model's uncontended latency.
   /// Transfer contention and batching delay are not modelled, so the
   /// estimate is optimistic; slo: sheds late rather than early.
@@ -286,7 +311,7 @@ class Engine {
     for (int acc : service_accs_[static_cast<std::size_t>(model)]) {
       const auto a = static_cast<std::size_t>(acc);
       Seconds wait = queued_work_[a];
-      if (acc_free_[a] > now_) wait += acc_free_[a] - now_;
+      if (free_[a] > now_) wait += free_[a] - now_;
       backlog = std::max(backlog, wait);
     }
     return backlog +
@@ -418,23 +443,10 @@ class Engine {
       case TaskKind::kBarrier:
         finish_task(instance, t);
         break;
-      case TaskKind::kCompute: {
-        const auto a = static_cast<std::size_t>(flat.accs[ti]);
-        Seconds& free = acc_free_[a];
-        if (free > now_) {
-          queue_.push(free, Event{Event::Kind::kTryStart, t, 0, instance, {}});
-          break;
-        }
-        const Seconds duration = flat.durations[ti];
-        const Seconds end = now_ + duration;
-        free = end;
-        result_.acc_busy[a] += duration;
-        // The work moves from "queued" to "running" (acc_free covers it).
-        queued_work_[a] -= duration;
-        if (rec_ != nullptr) trace_compute(instance, flat.accs[ti], end);
-        queue_.push(end, Event{Event::Kind::kTaskDone, t, 0, instance, {}});
+      case TaskKind::kCompute:
+        try_take(Waiter{instance, t, 0},
+                 static_cast<std::size_t>(flat.accs[ti]));
         break;
-      }
       case TaskKind::kTransfer: {
         if (flat.bytes[ti].count() <= 0.0) {
           finish_task(instance, t);
@@ -445,18 +457,49 @@ class Engine {
         MARS_CHECK(leg < static_cast<int>(route.size()),
                    "leg index out of range");
         const sim::RouteLeg& hop = route[static_cast<std::size_t>(leg)];
-        Seconds& free = channel_free_[static_cast<std::size_t>(hop.channel)];
-        if (free > now_) {
-          queue_.push(free,
-                      Event{Event::Kind::kTryStart, t, leg, instance, {}});
-          break;
-        }
-        const Seconds end = now_ + network_.leg_time(hop, flat.bytes[ti]);
-        free = end;
-        queue_.push(end, Event{Event::Kind::kLegDone, t, leg, instance, {}});
+        try_take(Waiter{instance, t, leg},
+                 static_cast<std::size_t>(topo_->size() + hop.channel));
         break;
       }
     }
+  }
+
+  /// A fresh try on resource `r` (accelerators first, then channels):
+  /// start now, or park in the resource's wait queue (sim/wait_queue.h).
+  void try_take(const Waiter& waiter, std::size_t r) {
+    if (free_[r] > now_) {
+      waits_.park(r, waiter, free_[r], queue_,
+                  Event{Event::Kind::kWake, static_cast<int>(r), 0, nullptr,
+                        {}});
+      return;
+    }
+    start(waiter, r);
+  }
+
+  /// Starts `waiter` on resource `r`, which is free now.
+  void start(const Waiter& waiter, std::size_t r) {
+    Instance* instance = waiter.instance;
+    const int t = waiter.task;
+    const sim::FlatTaskGraph& flat =
+        *flats_[static_cast<std::size_t>(instance->request.model)];
+    const auto ti = static_cast<std::size_t>(t);
+    if (flat.kinds[ti] == TaskKind::kCompute) {
+      const Seconds duration = flat.durations[ti];
+      const Seconds end = now_ + duration;
+      free_[r] = end;
+      result_.acc_busy[r] += duration;
+      // The work moves from "queued" to "running" (free_ covers it).
+      queued_work_[r] -= duration;
+      if (rec_ != nullptr) trace_compute(instance, static_cast<int>(r), end);
+      queue_.push(end, Event{Event::Kind::kTaskDone, t, 0, instance, {}});
+      return;
+    }
+    const std::vector<sim::RouteLeg>& route =
+        route_for(flat.srcs[ti], flat.dsts[ti]);
+    const sim::RouteLeg& hop = route[static_cast<std::size_t>(waiter.leg)];
+    free_[r] = now_ + network_.leg_time(hop, flat.bytes[ti]);
+    queue_.push(free_[r],
+                Event{Event::Kind::kLegDone, t, waiter.leg, instance, {}});
   }
 
   /// One busy span per compute task on its accelerator's track (an
@@ -565,11 +608,12 @@ class Engine {
   util::Arena arena_;
   long long admitted_ = 0;
 
-  std::vector<Seconds> acc_free_ =
-      std::vector<Seconds>(static_cast<std::size_t>(topo_->size()),
-                           Seconds(0.0));
-  std::vector<Seconds> channel_free_ = std::vector<Seconds>(
-      static_cast<std::size_t>(network_.num_channels()), Seconds(0.0));
+  // Resources are the accelerators, then the directed channels: when each
+  // frees, and who is parked on it.
+  std::vector<Seconds> free_ = std::vector<Seconds>(
+      static_cast<std::size_t>(topo_->size() + network_.num_channels()),
+      Seconds(0.0));
+  sim::WaitQueues<Waiter> waits_{free_.size()};
   std::vector<std::optional<std::vector<sim::RouteLeg>>> route_cache_;
 
   bool closed_loop_ = false;
@@ -588,6 +632,7 @@ class Engine {
   obs::Counter* completed_total_ = nullptr;
   obs::Counter* batches_total_ = nullptr;
   obs::Counter* tasks_total_ = nullptr;
+  obs::Counter* events_total_ = nullptr;
   obs::Histogram* latency_hist_ = nullptr;
 
   ServeResult result_;

@@ -7,10 +7,13 @@
 // its model's flat prototype graph (ModelService::flat_proto) into a
 // recycled arena block — a header plus per-task missing-dependency
 // counters, no heap clone — and compute/transfer tasks then contend for
-// accelerators and directed channels under exactly the Executor's FIFO
-// semantics: one compute per accelerator, one flow per channel, ties by
-// event insertion order. This is where co-resident models interfere:
-// their tasks queue on the same acc_free / channel_free timelines.
+// accelerators and directed channels exactly as in the Executor: one
+// compute per accelerator, one flow per channel, ties by event insertion
+// order, and a task that finds its resource busy parks in that
+// resource's wait queue (sim/wait_queue.h) until a release wakes it — one
+// wake per release, so dispatch cost stays linear in the backlog. This is
+// where co-resident models interfere: their tasks queue on the same
+// accelerator and channel timelines.
 // Steady-state dispatch allocates nothing (pinned by
 // tests/serve/test_zero_alloc.cpp); fleet-scale throughput numbers live
 // in docs/PERFORMANCE.md.
@@ -89,6 +92,10 @@ struct ServeResult {
   std::vector<Seconds> acc_busy;
   long long tasks_executed = 0;
   int batches_dispatched = 0;
+  /// Events the loop popped (work, not simulated time; also added to the
+  /// `sim.events` registry counter once per non-quiet run). A sharded
+  /// run sums its shards.
+  long long events = 0;
 
   /// Arrivals seen by admission control (completed + rejected).
   [[nodiscard]] int offered() const {

@@ -23,9 +23,24 @@ template <typename Payload>
 class EventQueue {
  public:
   void push(Seconds time, Payload payload) {
-    heap_.push_back(Entry{time, next_seq_++, std::move(payload)});
+    last_push_ = next_seq_;
+    push(time, next_seq_++, std::move(payload));
+  }
+
+  /// Pushes an event under a sequence number taken earlier with stamp():
+  /// it pops where an event pushed at stamping time would have.
+  void push(Seconds time, std::uint64_t seq, Payload payload) {
+    heap_.push_back(Entry{time, seq, std::move(payload)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
+
+  /// Consumes the next sequence number without pushing an event, so a
+  /// caller can order deferred work exactly as a push made now would be
+  /// (sim/wait_queue.h keys parked waiters this way).
+  [[nodiscard]] std::uint64_t stamp() { return next_seq_++; }
+  /// Sequence number of the latest push(time, payload) — stamps and
+  /// stamped pushes do not count; 0 before the first push.
+  [[nodiscard]] std::uint64_t last_push() const { return last_push_; }
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
@@ -59,6 +74,7 @@ class EventQueue {
 
   std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t last_push_ = 0;
 };
 
 }  // namespace mars::sim

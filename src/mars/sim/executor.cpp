@@ -2,14 +2,27 @@
 
 #include <algorithm>
 
+#include "mars/obs/metrics.h"
 #include "mars/sim/event_queue.h"
+#include "mars/sim/wait_queue.h"
 #include "mars/util/error.h"
 
 namespace mars::sim {
 namespace {
 
 struct Event {
-  enum class Kind : std::uint8_t { kTryStart, kLegDone, kTaskDone } kind;
+  enum class Kind : std::uint8_t {
+    kTryStart,  // `task` wants to start leg `leg` (0 for compute)
+    kLegDone,
+    kTaskDone,
+    kWake,      // the wait queue of resource `task` pops its front block
+  } kind;
+  TaskId task = -1;
+  int leg = 0;
+};
+
+/// A task parked on a resource, wanting to start leg `leg` (0 for compute).
+struct Waiter {
   TaskId task = -1;
   int leg = 0;
 };
@@ -35,11 +48,13 @@ ExecutionResult Executor::run(const TaskGraph& graph) const {
     }
   }
 
-  // Resource availability.
-  std::vector<Seconds> acc_free(static_cast<std::size_t>(topo_->size()),
-                                Seconds(0.0));
-  std::vector<Seconds> channel_free(
-      static_cast<std::size_t>(network_.num_channels()), Seconds(0.0));
+  // Resources are the accelerators, then the directed channels: when each
+  // frees, and who is parked on it.
+  const int accs = topo_->size();
+  const auto resources =
+      static_cast<std::size_t>(accs + network_.num_channels());
+  std::vector<Seconds> free(resources, Seconds(0.0));
+  WaitQueues<Waiter> waits(resources);
   // Route cache per transfer task.
   std::vector<std::vector<RouteLeg>> routes(static_cast<std::size_t>(n));
 
@@ -58,6 +73,34 @@ ExecutionResult Executor::run(const TaskGraph& graph) const {
     }
   };
 
+  // Starts `waiter` on resource `r`, which is free at `now`.
+  auto start = [&](const Waiter& waiter, std::size_t r, Seconds now) {
+    const Task& task = graph.task(waiter.task);
+    if (waiter.leg == 0) {
+      result.timings[static_cast<std::size_t>(task.id)].start = now;
+    }
+    if (task.kind == TaskKind::kCompute) {
+      free[r] = now + task.duration;
+      result.acc_busy[r] += task.duration;
+      queue.push(free[r], Event{Event::Kind::kTaskDone, task.id, 0});
+      return;
+    }
+    const RouteLeg& leg = routes[static_cast<std::size_t>(task.id)]
+                                [static_cast<std::size_t>(waiter.leg)];
+    free[r] = now + network_.leg_time(leg, task.bytes);
+    queue.push(free[r], Event{Event::Kind::kLegDone, task.id, waiter.leg});
+  };
+
+  // A fresh try: start now, or park in the resource's wait queue.
+  auto try_start = [&](const Waiter& waiter, std::size_t r, Seconds now) {
+    if (free[r] > now) {
+      waits.park(r, waiter, free[r], queue,
+                 Event{Event::Kind::kWake, static_cast<int>(r), 0});
+      return;
+    }
+    start(waiter, r, now);
+  };
+
   for (const Task& task : graph.tasks()) {
     if (task.deps.empty()) {
       queue.push(Seconds(0.0), Event{Event::Kind::kTryStart, task.id, 0});
@@ -67,29 +110,22 @@ ExecutionResult Executor::run(const TaskGraph& graph) const {
   while (!queue.empty()) {
     Seconds now;
     const Event event = queue.pop(now);
-    const Task& task = graph.task(event.task);
-    TaskTiming& timing = result.timings[static_cast<std::size_t>(event.task)];
+    ++result.events;
 
     switch (event.kind) {
       case Event::Kind::kTryStart: {
-        if (event.leg == 0) timing.start = now;
+        const Task& task = graph.task(event.task);
+        if (event.leg == 0) {
+          result.timings[static_cast<std::size_t>(task.id)].start = now;
+        }
         switch (task.kind) {
           case TaskKind::kBarrier:
             finish_task(task.id, now);
             break;
-          case TaskKind::kCompute: {
-            Seconds& free = acc_free[static_cast<std::size_t>(task.acc)];
-            if (free > now) {
-              queue.push(free, Event{Event::Kind::kTryStart, task.id, 0});
-              break;
-            }
-            timing.start = now;
-            const Seconds end = now + task.duration;
-            free = end;
-            result.acc_busy[static_cast<std::size_t>(task.acc)] += task.duration;
-            queue.push(end, Event{Event::Kind::kTaskDone, task.id, 0});
+          case TaskKind::kCompute:
+            try_start(Waiter{task.id, 0}, static_cast<std::size_t>(task.acc),
+                      now);
             break;
-          }
           case TaskKind::kTransfer: {
             if (task.bytes.count() <= 0.0) {
               finish_task(task.id, now);
@@ -100,15 +136,8 @@ ExecutionResult Executor::run(const TaskGraph& graph) const {
             MARS_CHECK(event.leg < static_cast<int>(route.size()),
                        "leg index out of range");
             const RouteLeg& leg = route[static_cast<std::size_t>(event.leg)];
-            Seconds& free = channel_free[static_cast<std::size_t>(leg.channel)];
-            if (free > now) {
-              queue.push(free, Event{Event::Kind::kTryStart, task.id, event.leg});
-              break;
-            }
-            if (event.leg == 0) timing.start = now;
-            const Seconds end = now + network_.leg_time(leg, task.bytes);
-            free = end;
-            queue.push(end, Event{Event::Kind::kLegDone, task.id, event.leg});
+            try_start(Waiter{task.id, event.leg},
+                      static_cast<std::size_t>(accs + leg.channel), now);
             break;
           }
         }
@@ -119,21 +148,30 @@ ExecutionResult Executor::run(const TaskGraph& graph) const {
         if (event.leg + 1 < static_cast<int>(route.size())) {
           // Store-and-forward at the host before the next leg.
           queue.push(now + network_.params().host_latency,
-                     Event{Event::Kind::kTryStart, task.id, event.leg + 1});
+                     Event{Event::Kind::kTryStart, event.task, event.leg + 1});
         } else {
-          finish_task(task.id, now);
+          finish_task(event.task, now);
         }
         break;
       }
       case Event::Kind::kTaskDone:
         finish_task(event.task, now);
         break;
+      case Event::Kind::kWake: {
+        const auto r = static_cast<std::size_t>(event.task);
+        waits.wake(r, now, free[r], queue, event,
+                   [&](const Waiter& waiter) { start(waiter, r, now); });
+        break;
+      }
     }
   }
 
   MARS_CHECK(completed == n, "deadlock: " << (n - completed)
                                           << " tasks never became ready "
                                              "(dependency cycle?)");
+  if (obs::MetricsRegistry* registry = obs::metrics()) {
+    registry->counter("sim.events").add(result.events);
+  }
   return result;
 }
 

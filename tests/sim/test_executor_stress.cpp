@@ -11,44 +11,13 @@
 #include "mars/sim/executor.h"
 #include "mars/topology/presets.h"
 #include "mars/util/rng.h"
+#include "support/random_graph.h"
 
 namespace mars::sim {
 namespace {
 
-struct RandomGraph {
-  TaskGraph tg;
-  std::vector<double> acc_work_seconds;
-};
-
-RandomGraph random_graph(const topology::Topology& topo, Rng& rng, int n) {
-  RandomGraph out;
-  out.acc_work_seconds.assign(static_cast<std::size_t>(topo.size()), 0.0);
-  for (int i = 0; i < n; ++i) {
-    std::vector<TaskId> deps;
-    // Up to 3 backward dependencies.
-    for (int d = 0; d < 3 && i > 0; ++d) {
-      if (rng.chance(0.4)) deps.push_back(rng.uniform_int(0, i - 1));
-    }
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-    const double kind = rng.uniform();
-    if (kind < 0.5) {
-      const int acc = rng.uniform_int(0, topo.size() - 1);
-      const Seconds duration = microseconds(rng.uniform(1.0, 100.0));
-      out.acc_work_seconds[static_cast<std::size_t>(acc)] += duration.count();
-      (void)out.tg.add_compute(acc, duration, "c" + std::to_string(i), deps);
-    } else if (kind < 0.85) {
-      int src = rng.uniform_int(0, topo.size() - 1);
-      int dst = rng.uniform_int(0, topo.size() - 1);
-      if (src == dst) dst = (dst + 1) % topo.size();
-      (void)out.tg.add_transfer(src, dst, Bytes(rng.uniform(1.0, 1e6)),
-                                "t" + std::to_string(i), deps);
-    } else {
-      (void)out.tg.add_barrier(deps, "b" + std::to_string(i));
-    }
-  }
-  return out;
-}
+using testing::random_graph;
+using testing::RandomGraph;
 
 class ExecutorStress : public ::testing::TestWithParam<int> {};
 
