@@ -13,9 +13,12 @@
 // queues are not exact (sim/wait_queue.h, "Exactness"), so those tests
 // bound how often they differ: 1 of 400 executor graphs and 6 of 40
 // serving runs below, where a plain FIFO of waiters (no polling keys)
-// differs on 38 of 400 and 16 of 40.
+// differs on 38 of 400 and 16 of 40. Oracle equality cannot catch drift
+// there, so they also pin the replay itself: the exact differing counts
+// and an FNV-1a fingerprint of every field of every result.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <iostream>
 #include <string>
@@ -28,6 +31,7 @@
 #include "mars/serve/workload.h"
 #include "mars/sim/executor.h"
 #include "mars/topology/presets.h"
+#include "mars/util/hash.h"
 #include "mars/util/rng.h"
 #include "support/polling_engine.h"
 #include "support/random_graph.h"
@@ -35,6 +39,51 @@
 
 namespace mars {
 namespace {
+
+/// FNV-1a folds of every observable field of a replay, pinned by the
+/// coarse tests: where the queues and the oracle legitimately differ,
+/// oracle equality cannot catch drift, so the replay itself is pinned.
+std::uint64_t fold(double value, std::uint64_t hash) {
+  return util::fnv1a_word(std::bit_cast<std::uint64_t>(value), hash);
+}
+
+std::uint64_t fold(long long value, std::uint64_t hash) {
+  return util::fnv1a_word(static_cast<std::uint64_t>(value), hash);
+}
+
+std::uint64_t fingerprint(const sim::ExecutionResult& result,
+                          std::uint64_t hash) {
+  for (const sim::TaskTiming& timing : result.timings) {
+    hash = fold(timing.end.count(), fold(timing.start.count(), hash));
+  }
+  for (const Seconds busy : result.acc_busy) hash = fold(busy.count(), hash);
+  return fold(result.events, fold(result.makespan.count(), hash));
+}
+
+std::uint64_t fingerprint(const serve::Request& request, std::uint64_t hash) {
+  hash = fold(static_cast<long long>(request.id), hash);
+  hash = fold(static_cast<long long>(request.model), hash);
+  hash = fold(request.arrival.count(), hash);
+  return fold(static_cast<long long>(request.client), hash);
+}
+
+std::uint64_t fingerprint(const serve::ServeResult& result,
+                          std::uint64_t hash) {
+  for (const serve::CompletedRequest& done : result.completed) {
+    hash = fingerprint(done.request, hash);
+    hash = fold(done.dispatch.count(), hash);
+    hash = fold(done.completion.count(), hash);
+    hash = fold(static_cast<long long>(done.batch_size), hash);
+  }
+  for (const serve::Request& request : result.rejected) {
+    hash = fingerprint(request, hash);
+  }
+  hash = fold(result.horizon.count(), hash);
+  for (const Seconds busy : result.acc_busy) hash = fold(busy.count(), hash);
+  hash = fold(result.tasks_executed, hash);
+  hash = fold(static_cast<long long>(result.batches_dispatched), hash);
+  return fold(result.events, hash);
+}
 
 bool same_execution(const sim::ExecutionResult& a,
                     const sim::ExecutionResult& b) {
@@ -135,6 +184,7 @@ TEST(WaitQueueExecutorCoarse, RarelyDiffersFromPolling) {
   Rng rng(2024);
   int graphs = 0;
   int differing = 0;
+  std::uint64_t replay = util::kFnvOffset;
   long long polled_events = 0;
   long long queued_events = 0;
   for (const NamedTopology& named : contended_topologies()) {
@@ -148,12 +198,15 @@ TEST(WaitQueueExecutorCoarse, RarelyDiffersFromPolling) {
       const sim::ExecutionResult queued = executor.run(coarse);
       ++graphs;
       if (!same_execution(polled, queued)) ++differing;
+      replay = fingerprint(queued, replay);
       polled_events += polled.events;
       queued_events += queued.events;
     }
   }
   std::cout << differing << " of " << graphs << " coarse graphs differ\n";
   EXPECT_LE(differing, graphs / 100);
+  EXPECT_EQ(differing, 1);
+  EXPECT_EQ(util::hex64(replay), "b52dbef32ad419a4");
   EXPECT_LT(queued_events, polled_events);
 }
 
@@ -271,6 +324,7 @@ TEST(WaitQueueServingCoarse, RarelyDiffersFromPolling) {
   const topology::Topology topo = topology::f1_16xlarge();
   int runs = 0;
   int differing = 0;
+  std::uint64_t replay = util::kFnvOffset;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const RandomModels models(topo, seed, 2, /*coarse=*/true);
     std::vector<serve::Request> arrivals = overloaded_stream(models, seed);
@@ -286,10 +340,13 @@ TEST(WaitQueueServingCoarse, RarelyDiffersFromPolling) {
           serve::OnlineScheduler(topo, models.views(), options).run(arrivals);
       ++runs;
       if (!same_serving(polled, queued)) ++differing;
+      replay = fingerprint(queued, replay);
     }
   }
   std::cout << differing << " of " << runs << " coarse runs differ\n";
   EXPECT_LE(differing, runs / 4);
+  EXPECT_EQ(differing, 6);
+  EXPECT_EQ(util::hex64(replay), "dc7685bec6928c51");
 }
 
 TEST(WaitQueueServing, MatchesPollingOnPlannedModels) {
