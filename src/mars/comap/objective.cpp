@@ -78,11 +78,11 @@ const ServingObjective::Artifact& ServingObjective::artifact(
     std::size_t t, const core::Mapping& mapping, std::uint64_t signature) {
   return artifacts_.get({t, signature}, &mapping, [&](const core::Mapping* m) {
     const core::Problem& problem = planners_[t].problem();
-    const sim::TaskGraph proto =
-        core::MappingEvaluator(problem).build_task_graph(*m);
+    sim::FlatTaskGraph flat = sim::FlatTaskGraph::from(
+        core::MappingEvaluator(problem).build_task_graph(*m));
     const sim::Executor executor(*problem_->topo, problem.sim_params);
-    return Artifact{sim::FlatTaskGraph::from(proto),
-                    executor.run(proto).makespan};
+    const Seconds single_latency = executor.run(flat).makespan;
+    return Artifact{std::move(flat), single_latency};
   });
 }
 

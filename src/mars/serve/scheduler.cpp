@@ -1,17 +1,13 @@
 #include "mars/serve/scheduler.h"
 
 #include <algorithm>
-#include <cstring>
-#include <new>
 #include <optional>
+#include <span>
 #include <string>
-#include <type_traits>
 
 #include "mars/obs/metrics.h"
 #include "mars/obs/trace.h"
-#include "mars/sim/event_queue.h"
-#include "mars/sim/wait_queue.h"
-#include "mars/util/arena.h"
+#include "mars/sim/engine.h"
 #include "mars/util/error.h"
 
 namespace mars::serve {
@@ -19,67 +15,33 @@ namespace {
 
 using sim::TaskKind;
 
-/// Arena-backed state of one admitted request: a fixed header plus the
-/// per-task missing-dependency counters, in a single block sized by the
-/// model's task count. Blocks are recycled through a per-model intrusive
-/// free list the moment the request completes — by then every event that
-/// referenced the instance has been consumed and none of its tasks is
-/// parked in a wait queue (both exist only while their task is
-/// unfinished), so reuse is safe and deterministic.
-struct Instance {
+/// An admitted request's state, carried by its engine instance.
+struct Admitted {
   Request request;
   Seconds dispatch{};
   int batch_size = 1;
-  int tasks_remaining = 0;
-  Instance* next_free = nullptr;
-
-  /// The trailing missing-dependency array (one int per prototype task).
-  [[nodiscard]] int* missing() { return reinterpret_cast<int*>(this + 1); }
 };
 
-// The trailing int array is placed directly after the header; recycling
-// skips destructors entirely, so the header must not acquire any.
-static_assert(std::is_trivially_destructible_v<Instance>);
-static_assert(alignof(Instance) % alignof(int) == 0);
-
-/// Task `task` of `instance`, parked on a resource to start leg `leg` (0
-/// for compute): the handle the per-resource wait queues hold.
-struct Waiter {
-  Instance* instance = nullptr;
-  int task = -1;
-  int leg = 0;
+/// The scheduler's own events: an arrival of `request`, or a re-check of
+/// model `request.model`'s batch timeout.
+struct Arrival {
+  Request request;
+  bool deadline = false;
 };
 
-struct Event {
-  enum class Kind : std::uint8_t {
-    kArrival,       // `request` enters its model's batcher
-    kDeadline,      // re-check model `index`'s batch timeout
-    kTryStart,      // task `index` of `instance`, leg `leg`, wants resources
-    kLegDone,       // transfer task `index` of `instance` finished leg `leg`
-    kTaskDone,      // compute task `index` of `instance` finished
-    kWake,          // resource `index`'s wait queue pops its front block
-  };
-  Kind kind;
-  int index = -1;  // prototype task index or model id, depending on kind
-  int leg = 0;
-  Instance* instance = nullptr;  // task events only
-  Request request;               // kArrival only
-};
+using Replay = sim::Engine<Admitted, Arrival>;
+using Instance = Replay::Instance;
 
-/// The mutable event-loop state for one run. Mirrors Executor::run (the
-/// same per-resource wait queues), with two extensions: tasks are injected
-/// while the clock advances, and completions can feed back into the
-/// workload (closed loop).
-class Engine {
+/// The mutable state of one run: admission, batching, request bookkeeping
+/// and tracing around the engine (sim/engine.h), whose hooks it is.
+/// Requests enter while the clock advances, and completions can feed back
+/// into the workload (closed loop).
+class Session : public sim::NoHooks {
  public:
-  Engine(const topology::Topology& topo,
-         const std::vector<ServedModel>& models,
-         const SchedulerOptions& options)
-      : topo_(&topo),
-        models_(&models),
-        network_(topo, options.sim),
-        route_cache_(static_cast<std::size_t>((topo.size() + 1) *
-                                              (topo.size() + 1))) {
+  Session(const topology::Topology& topo,
+          const std::vector<ServedModel>& models,
+          const SchedulerOptions& options)
+      : models_(&models), engine_(topo, options.sim, flats_of(models)) {
     // The `none` policy dispatches every arrival immediately as a batch of
     // one; bypassing the Batcher on that path keeps steady-state dispatch
     // allocation-free (the batcher returns freshly built vectors).
@@ -91,33 +53,23 @@ class Engine {
       }
       armed_deadline_.assign(models.size(), std::nullopt);
     }
-    result_.acc_busy.assign(static_cast<std::size_t>(topo.size()),
-                            Seconds(0.0));
 
     admission_ = options.admission;
     in_system_.assign(models.size(), 0);
     queued_work_.assign(static_cast<std::size_t>(topo.size()), Seconds(0.0));
-    flats_.reserve(models.size());
-    free_list_.assign(models.size(), nullptr);
     // Which accelerators each model's prototype computes on — the
     // timelines its requests queue behind, hence the ones the slo:
     // admission estimate reads.
     service_accs_.resize(models.size());
     for (std::size_t m = 0; m < models.size(); ++m) {
       const sim::FlatTaskGraph& flat = *models[m].flat;
-      flats_.push_back(&flat);
-      std::vector<bool> used(static_cast<std::size_t>(topo.size()), false);
-      for (int t = 0; t < flat.size; ++t) {
-        if (flat.kinds[static_cast<std::size_t>(t)] == TaskKind::kCompute) {
-          used[static_cast<std::size_t>(
-              flat.accs[static_cast<std::size_t>(t)])] = true;
-        }
+      std::vector<int>& accs = service_accs_[m];
+      for (std::size_t t = 0; t < flat.kinds.size(); ++t) {
+        if (flat.kinds[t] == TaskKind::kCompute) accs.push_back(flat.accs[t]);
       }
-      for (int a = 0; a < topo.size(); ++a) {
-        if (used[static_cast<std::size_t>(a)]) service_accs_[m].push_back(a);
-      }
+      std::sort(accs.begin(), accs.end());
+      accs.erase(std::unique(accs.begin(), accs.end()), accs.end());
     }
-
     // Observability: resolve the recorder and registry once per run. Every
     // event below is emitted from this serial event loop with simulated
     // timestamps, so the simulated-domain trace is deterministic per seed
@@ -170,17 +122,16 @@ class Engine {
   /// they grow to the peak number of parked tasks and are reused after.
   void reserve(std::size_t arrivals) {
     std::size_t task_slack = 64;
-    for (const sim::FlatTaskGraph* flat : flats_) {
-      task_slack += 16 * static_cast<std::size_t>(flat->size);
+    for (const ServedModel& model : *models_) {
+      task_slack += 16 * static_cast<std::size_t>(model.flat->size);
     }
-    queue_.reserve(arrivals + task_slack);
+    engine_.reserve(arrivals + task_slack);
     result_.completed.reserve(arrivals);
     result_.rejected.reserve(arrivals);
   }
 
   void add_arrival(const Request& request) {
-    queue_.push(request.arrival,
-                Event{Event::Kind::kArrival, -1, 0, nullptr, request});
+    engine_.push(request.arrival, Arrival{request});
     next_request_id_ = std::max(next_request_id_, request.id + 1);
   }
 
@@ -192,19 +143,24 @@ class Engine {
 
   ServeResult run() {
     for (;;) {
-      drain_events();
+      engine_.drain(*this);
       // The queue only runs dry while requests are parked in a batcher
       // whose trigger can never fire (size-N at end of stream, or a
       // closed loop with fewer outstanding clients than N): drain them.
       bool flushed = false;
       for (std::size_t m = 0; m < batchers_.size(); ++m) {
-        for (std::vector<Request>& batch : batchers_[m].flush()) {
-          dispatch(std::move(batch), now_);
+        for (const std::vector<Request>& batch : batchers_[m].flush()) {
+          dispatch(batch);
           flushed = true;
         }
       }
       if (!flushed) break;
     }
+    result_.horizon = engine_.horizon();
+    result_.acc_busy = engine_.acc_busy();
+    result_.tasks_executed = engine_.tasks_executed();
+    result_.events = engine_.events();
+    if (tasks_total_ != nullptr) tasks_total_->add(result_.tasks_executed);
     if (events_total_ != nullptr) events_total_->add(result_.events);
     MARS_CHECK(admitted_ == static_cast<long long>(result_.completed.size()),
                "serving deadlock: "
@@ -214,35 +170,67 @@ class Engine {
     return std::move(result_);
   }
 
- private:
-  void drain_events() {
-    while (!queue_.empty()) {
-      const Event event = queue_.pop(now_);
-      ++result_.events;
-      switch (event.kind) {
-        case Event::Kind::kArrival:
-          handle_arrival(event.request);
-          break;
-        case Event::Kind::kDeadline:
-          drain_batcher(event.index);
-          break;
-        case Event::Kind::kTryStart:
-          try_start(event.instance, event.index, event.leg);
-          break;
-        case Event::Kind::kLegDone:
-          leg_done(event.instance, event.index, event.leg);
-          break;
-        case Event::Kind::kTaskDone:
-          finish_task(event.instance, event.index);
-          break;
-        case Event::Kind::kWake: {
-          const auto r = static_cast<std::size_t>(event.index);
-          waits_.wake(r, now_, free_[r], queue_, event,
-                      [&](const Waiter& waiter) { start(waiter, r); });
-          break;
-        }
-      }
+  // Engine hooks.
+
+  void external(const Arrival& event) {
+    if (event.deadline) {
+      drain_batcher(event.request.model);
+    } else {
+      handle_arrival(event.request);
     }
+  }
+
+  /// The work moves from "queued" to "running" (the accelerator's free
+  /// time covers it). With a recorder installed: one busy span per compute
+  /// task on its accelerator's track (an accelerator runs one task at a
+  /// time, so spans on a track never overlap), plus the post-start
+  /// queued-work counter sample.
+  void compute_started(Instance& instance, int acc, Seconds duration) {
+    const auto a = static_cast<std::size_t>(acc);
+    queued_work_[a] -= duration;
+    if (rec_ == nullptr) return;
+    const Seconds now = engine_.now();
+    const Seconds end = now + duration;
+    const Request& request = instance.meta.request;
+    rec_->complete(obs::Clock::kSim, acc_tracks_[a],
+                   (*models_)[static_cast<std::size_t>(request.model)].name,
+                   now, end - now,
+                   {{"request", JsonValue::integer(request.id)}});
+    rec_->counter(obs::Clock::kSim, queued_name_[a], now,
+                  queued_work_[a].count());
+  }
+
+  void completed(Instance& instance) {
+    const Admitted& admitted = instance.meta;
+    const Request& request = admitted.request;
+    const Seconds now = engine_.now();
+    result_.completed.push_back(CompletedRequest{
+        request, admitted.dispatch, now, admitted.batch_size});
+    const auto m = static_cast<std::size_t>(request.model);
+    --in_system_[m];
+    if (completed_total_ != nullptr) completed_total_->add();
+    if (latency_hist_ != nullptr) {
+      latency_hist_->observe((now - request.arrival).count());
+    }
+    if (rec_ != nullptr) {
+      const int track = model_tracks_[m];
+      rec_->async_end(obs::Clock::kSim, track, "req", request.id, "execute",
+                      now);
+      rec_->async_end(obs::Clock::kSim, track, "req", request.id,
+                      (*models_)[m].name, now);
+      rec_->counter(obs::Clock::kSim, in_system_name_[m], now,
+                    static_cast<double>(in_system_[m]));
+    }
+    reissue_after_think(request.model, request.client);
+  }
+
+ private:
+  static std::vector<const sim::FlatTaskGraph*> flats_of(
+      const std::vector<ServedModel>& models) {
+    std::vector<const sim::FlatTaskGraph*> flats;
+    flats.reserve(models.size());
+    for (const ServedModel& model : models) flats.push_back(model.flat);
+    return flats;
   }
 
   void handle_arrival(const Request& request) {
@@ -263,7 +251,8 @@ class Engine {
     ++in_system_[static_cast<std::size_t>(request.model)];
     if (rec_ != nullptr) trace_admit(request);
     if (immediate_dispatch_) {
-      dispatch_single(request, now_);
+      // The `none` policy: a batch of one, no Batcher and no vectors.
+      dispatch({&request, 1});
       return;
     }
     batchers_[static_cast<std::size_t>(request.model)].push(request);
@@ -307,11 +296,11 @@ class Engine {
   /// Transfer contention and batching delay are not modelled, so the
   /// estimate is optimistic; slo: sheds late rather than early.
   [[nodiscard]] Seconds predicted_latency(int model) const {
+    const Seconds now = engine_.now();
     Seconds backlog{};
     for (int acc : service_accs_[static_cast<std::size_t>(model)]) {
-      const auto a = static_cast<std::size_t>(acc);
-      Seconds wait = queued_work_[a];
-      if (free_[a] > now_) wait += free_[a] - now_;
+      Seconds wait = queued_work_[static_cast<std::size_t>(acc)];
+      if (engine_.free_at(acc) > now) wait += engine_.free_at(acc) - now;
       backlog = std::max(backlog, wait);
     }
     return backlog +
@@ -320,20 +309,20 @@ class Engine {
 
   void reissue_after_think(int model, int client) {
     if (!closed_loop_ || client < 0) return;
-    const Seconds next = now_ + think_;
+    const Seconds next = engine_.now() + think_;
     if (next > issue_horizon_) return;  // client retires
     Request request;
     request.id = next_request_id_++;
     request.model = model;
     request.arrival = next;
     request.client = client;
-    queue_.push(next, Event{Event::Kind::kArrival, -1, 0, nullptr, request});
+    engine_.push(next, Arrival{request});
   }
 
   void drain_batcher(int model) {
     Batcher& batcher = batchers_[static_cast<std::size_t>(model)];
-    for (std::vector<Request>& batch : batcher.pop_ready(now_)) {
-      dispatch(std::move(batch), now_);
+    for (const std::vector<Request>& batch : batcher.pop_ready(engine_.now())) {
+      dispatch(batch);
     }
     // Arm the timeout of the (possibly new) open batch. Later arrivals
     // leave the deadline unchanged, so only arm when it moves; a stale
@@ -343,68 +332,35 @@ class Engine {
     if (deadline &&
         deadline != armed_deadline_[static_cast<std::size_t>(model)]) {
       armed_deadline_[static_cast<std::size_t>(model)] = deadline;
-      queue_.push(*deadline,
-                  Event{Event::Kind::kDeadline, model, 0, nullptr, {}});
+      Request timeout;
+      timeout.model = model;
+      engine_.push(*deadline, Arrival{timeout, /*deadline=*/true});
     }
   }
 
-  void dispatch(std::vector<Request> batch, Seconds now) {
+  /// Dispatches `batch` (never empty) as one batch.
+  void dispatch(std::span<const Request> batch) {
     ++result_.batches_dispatched;
     if (batches_total_ != nullptr) batches_total_->add();
     const int batch_size = static_cast<int>(batch.size());
-    if (rec_ != nullptr && !batch.empty()) {
-      rec_->instant(
-          obs::Clock::kSim,
-          model_tracks_[static_cast<std::size_t>(batch.front().model)],
-          "batch", now, {{"size", JsonValue::integer(batch_size)}});
-    }
-    for (Request& request : batch) {
-      instantiate(request, now, batch_size);
-    }
-    if (!batch.empty()) sample_queued_work(batch.front().model, now);
-  }
-
-  /// The `none`-policy fast path: one request, one batch, no vectors.
-  void dispatch_single(const Request& request, Seconds now) {
-    ++result_.batches_dispatched;
-    if (batches_total_ != nullptr) batches_total_->add();
+    const int model = batch.front().model;
     if (rec_ != nullptr) {
       rec_->instant(obs::Clock::kSim,
-                    model_tracks_[static_cast<std::size_t>(request.model)],
-                    "batch", now, {{"size", JsonValue::integer(1)}});
+                    model_tracks_[static_cast<std::size_t>(model)], "batch",
+                    engine_.now(), {{"size", JsonValue::integer(batch_size)}});
     }
-    instantiate(request, now, 1);
-    sample_queued_work(request.model, now);
+    for (const Request& request : batch) instantiate(request, batch_size);
+    sample_queued_work(model);
   }
 
-  /// Stamps one request instance into a recycled arena block: copy the
-  /// prototype's missing-dependency counts, account its compute on the
-  /// queued-work timelines (same per-task order as a clone would, so the
-  /// floating-point sums match the historical engine bit for bit), and
-  /// seed the root task events in task order.
-  void instantiate(const Request& request, Seconds now, int batch_size) {
-    const auto m = static_cast<std::size_t>(request.model);
-    const sim::FlatTaskGraph& flat = *flats_[m];
-    Instance* instance = free_list_[m];
-    if (instance != nullptr) {
-      free_list_[m] = instance->next_free;
-    } else {
-      void* block = arena_.allocate(
-          sizeof(Instance) +
-              sizeof(int) * static_cast<std::size_t>(flat.size),
-          alignof(Instance));
-      instance = new (block) Instance();
-    }
-    instance->request = request;
-    instance->dispatch = now;
-    instance->batch_size = batch_size;
-    instance->tasks_remaining = flat.size;
-    instance->next_free = nullptr;
-    if (flat.size > 0) {
-      std::memcpy(instance->missing(), flat.dep_counts.data(),
-                  sizeof(int) * static_cast<std::size_t>(flat.size));
-    }
+  /// Adds one request instance to the engine and accounts its compute on
+  /// the queued-work timelines (in task order, so the floating-point sums
+  /// match the historical per-clone engine bit for bit).
+  void instantiate(const Request& request, int batch_size) {
+    const Seconds now = engine_.now();
+    engine_.add(request.model, Admitted{request, now, batch_size});
     ++admitted_;
+    const auto m = static_cast<std::size_t>(request.model);
     if (rec_ != nullptr) {
       const int track = model_tracks_[m];
       rec_->async_end(obs::Clock::kSim, track, "req", request.id, "queue",
@@ -412,6 +368,7 @@ class Engine {
       rec_->async_begin(obs::Clock::kSim, track, "req", request.id, "execute",
                         now);
     }
+    const sim::FlatTaskGraph& flat = *(*models_)[m].flat;
     for (int t = 0; t < flat.size; ++t) {
       if (flat.kinds[static_cast<std::size_t>(t)] == TaskKind::kCompute) {
         queued_work_[static_cast<std::size_t>(
@@ -419,177 +376,21 @@ class Engine {
             flat.durations[static_cast<std::size_t>(t)];
       }
     }
-    for (sim::TaskId root : flat.roots) {
-      queue_.push(now, Event{Event::Kind::kTryStart, root, 0, instance, {}});
-    }
   }
 
   /// Post-dispatch queued-work samples for the accelerators this model
   /// computes on.
-  void sample_queued_work(int model, Seconds now) {
+  void sample_queued_work(int model) {
     if (rec_ == nullptr) return;
     for (const int acc : service_accs_[static_cast<std::size_t>(model)]) {
       const auto a = static_cast<std::size_t>(acc);
-      rec_->counter(obs::Clock::kSim, queued_name_[a], now,
+      rec_->counter(obs::Clock::kSim, queued_name_[a], engine_.now(),
                     queued_work_[a].count());
     }
   }
 
-  void try_start(Instance* instance, int t, int leg) {
-    const sim::FlatTaskGraph& flat =
-        *flats_[static_cast<std::size_t>(instance->request.model)];
-    const auto ti = static_cast<std::size_t>(t);
-    switch (flat.kinds[ti]) {
-      case TaskKind::kBarrier:
-        finish_task(instance, t);
-        break;
-      case TaskKind::kCompute:
-        try_take(Waiter{instance, t, 0},
-                 static_cast<std::size_t>(flat.accs[ti]));
-        break;
-      case TaskKind::kTransfer: {
-        if (flat.bytes[ti].count() <= 0.0) {
-          finish_task(instance, t);
-          break;
-        }
-        const std::vector<sim::RouteLeg>& route =
-            route_for(flat.srcs[ti], flat.dsts[ti]);
-        MARS_CHECK(leg < static_cast<int>(route.size()),
-                   "leg index out of range");
-        const sim::RouteLeg& hop = route[static_cast<std::size_t>(leg)];
-        try_take(Waiter{instance, t, leg},
-                 static_cast<std::size_t>(topo_->size() + hop.channel));
-        break;
-      }
-    }
-  }
-
-  /// A fresh try on resource `r` (accelerators first, then channels):
-  /// start now, or park in the resource's wait queue (sim/wait_queue.h).
-  void try_take(const Waiter& waiter, std::size_t r) {
-    if (free_[r] > now_) {
-      waits_.park(r, waiter, free_[r], queue_,
-                  Event{Event::Kind::kWake, static_cast<int>(r), 0, nullptr,
-                        {}});
-      return;
-    }
-    start(waiter, r);
-  }
-
-  /// Starts `waiter` on resource `r`, which is free now.
-  void start(const Waiter& waiter, std::size_t r) {
-    Instance* instance = waiter.instance;
-    const int t = waiter.task;
-    const sim::FlatTaskGraph& flat =
-        *flats_[static_cast<std::size_t>(instance->request.model)];
-    const auto ti = static_cast<std::size_t>(t);
-    if (flat.kinds[ti] == TaskKind::kCompute) {
-      const Seconds duration = flat.durations[ti];
-      const Seconds end = now_ + duration;
-      free_[r] = end;
-      result_.acc_busy[r] += duration;
-      // The work moves from "queued" to "running" (free_ covers it).
-      queued_work_[r] -= duration;
-      if (rec_ != nullptr) trace_compute(instance, static_cast<int>(r), end);
-      queue_.push(end, Event{Event::Kind::kTaskDone, t, 0, instance, {}});
-      return;
-    }
-    const std::vector<sim::RouteLeg>& route =
-        route_for(flat.srcs[ti], flat.dsts[ti]);
-    const sim::RouteLeg& hop = route[static_cast<std::size_t>(waiter.leg)];
-    free_[r] = now_ + network_.leg_time(hop, flat.bytes[ti]);
-    queue_.push(free_[r],
-                Event{Event::Kind::kLegDone, t, waiter.leg, instance, {}});
-  }
-
-  /// One busy span per compute task on its accelerator's track (an
-  /// accelerator runs one task at a time, so spans on a track never
-  /// overlap), plus the post-start queued-work counter sample.
-  void trace_compute(const Instance* instance, int acc, Seconds end) {
-    const auto a = static_cast<std::size_t>(acc);
-    const auto m = static_cast<std::size_t>(instance->request.model);
-    rec_->complete(obs::Clock::kSim, acc_tracks_[a], (*models_)[m].name,
-                   now_, end - now_,
-                   {{"request", JsonValue::integer(instance->request.id)}});
-    rec_->counter(obs::Clock::kSim, queued_name_[a], now_,
-                  queued_work_[a].count());
-  }
-
-  void leg_done(Instance* instance, int t, int leg) {
-    const sim::FlatTaskGraph& flat =
-        *flats_[static_cast<std::size_t>(instance->request.model)];
-    const auto ti = static_cast<std::size_t>(t);
-    const std::vector<sim::RouteLeg>& route =
-        route_for(flat.srcs[ti], flat.dsts[ti]);
-    if (leg + 1 < static_cast<int>(route.size())) {
-      // Store-and-forward at the host before the next leg.
-      queue_.push(now_ + network_.params().host_latency,
-                  Event{Event::Kind::kTryStart, t, leg + 1, instance, {}});
-    } else {
-      finish_task(instance, t);
-    }
-  }
-
-  void finish_task(Instance* instance, int t) {
-    result_.horizon = std::max(result_.horizon, now_);
-    ++result_.tasks_executed;
-    if (tasks_total_ != nullptr) tasks_total_->add();
-    const sim::FlatTaskGraph& flat =
-        *flats_[static_cast<std::size_t>(instance->request.model)];
-    int* missing = instance->missing();
-    const auto begin =
-        static_cast<std::size_t>(flat.dependent_offsets[static_cast<std::size_t>(t)]);
-    const auto end = static_cast<std::size_t>(
-        flat.dependent_offsets[static_cast<std::size_t>(t) + 1]);
-    for (std::size_t i = begin; i < end; ++i) {
-      const sim::TaskId dependent = flat.dependents[i];
-      if (--missing[dependent] == 0) {
-        queue_.push(now_,
-                    Event{Event::Kind::kTryStart, dependent, 0, instance, {}});
-      }
-    }
-    if (--instance->tasks_remaining == 0) complete_request(instance);
-  }
-
-  void complete_request(Instance* instance) {
-    result_.completed.push_back(CompletedRequest{
-        instance->request, instance->dispatch, now_, instance->batch_size});
-    const auto m = static_cast<std::size_t>(instance->request.model);
-    --in_system_[m];
-    if (completed_total_ != nullptr) completed_total_->add();
-    if (latency_hist_ != nullptr) {
-      latency_hist_->observe((now_ - instance->request.arrival).count());
-    }
-    if (rec_ != nullptr) {
-      const int track = model_tracks_[m];
-      rec_->async_end(obs::Clock::kSim, track, "req", instance->request.id,
-                      "execute", now_);
-      rec_->async_end(obs::Clock::kSim, track, "req", instance->request.id,
-                      (*models_)[m].name, now_);
-      rec_->counter(obs::Clock::kSim, in_system_name_[m], now_,
-                    static_cast<double>(in_system_[m]));
-    }
-    reissue_after_think(instance->request.model, instance->request.client);
-    // Recycle the block: every event referencing this instance has been
-    // consumed (its last task just finished), so LIFO reuse is safe.
-    instance->next_free = free_list_[m];
-    free_list_[m] = instance;
-  }
-
-  const std::vector<sim::RouteLeg>& route_for(int src, int dst) {
-    const int n = topo_->size();
-    auto& slot = route_cache_[static_cast<std::size_t>((src + 1) * (n + 1) +
-                                                       (dst + 1))];
-    if (!slot) slot = network_.route(src, dst);
-    return *slot;
-  }
-
-  const topology::Topology* topo_;
   const std::vector<ServedModel>* models_;
-  sim::Network network_;
-
-  sim::EventQueue<Event> queue_;
-  Seconds now_{};
+  Replay engine_;
 
   bool immediate_dispatch_ = false;
   std::vector<Batcher> batchers_;  // empty on the immediate-dispatch path
@@ -600,21 +401,7 @@ class Engine {
   std::vector<int> in_system_;  // per model: batcher queue + in flight
   std::vector<Seconds> queued_work_;  // per acc: admitted, not yet started
   std::vector<std::vector<int>> service_accs_;  // per model: accs its proto uses
-
-  // Instance pool: one flat prototype per model, blocks recycled through
-  // per-model free lists, backing storage in the arena.
-  std::vector<const sim::FlatTaskGraph*> flats_;
-  std::vector<Instance*> free_list_;
-  util::Arena arena_;
   long long admitted_ = 0;
-
-  // Resources are the accelerators, then the directed channels: when each
-  // frees, and who is parked on it.
-  std::vector<Seconds> free_ = std::vector<Seconds>(
-      static_cast<std::size_t>(topo_->size() + network_.num_channels()),
-      Seconds(0.0));
-  sim::WaitQueues<Waiter> waits_{free_.size()};
-  std::vector<std::optional<std::vector<sim::RouteLeg>>> route_cache_;
 
   bool closed_loop_ = false;
   Seconds think_{};
@@ -638,31 +425,42 @@ class Engine {
   ServeResult result_;
 };
 
+/// The dispatch views of `services`, checked against the scheduler's
+/// topology and timing.
+std::vector<ServedModel> views_of(
+    const topology::Topology& topo,
+    const std::vector<const ModelService*>& services,
+    const sim::SimParams& sim) {
+  MARS_CHECK_ARG(!services.empty(), "scheduler needs at least one service");
+  std::vector<ServedModel> models;
+  models.reserve(services.size());
+  for (const ModelService* service : services) {
+    MARS_CHECK_ARG(service != nullptr, "null service");
+    MARS_CHECK_ARG(service->problem().topo == &topo,
+                   "service '" << service->name()
+                               << "' was planned on a different topology");
+    // single_latency / flat_proto were produced under the service's
+    // SimParams; replaying under different timing would silently disagree
+    // with them.
+    const sim::SimParams& planned = service->problem().sim_params;
+    MARS_CHECK_ARG(planned.link_latency == sim.link_latency &&
+                       planned.host_latency == sim.host_latency,
+                   "service '" << service->name()
+                               << "' was planned under different SimParams "
+                                  "than SchedulerOptions.sim");
+    models.push_back(ServedModel{service->name(), &service->flat_proto(),
+                                 service->single_latency()});
+  }
+  return models;
+}
+
 }  // namespace
 
 OnlineScheduler::OnlineScheduler(const topology::Topology& topo,
                                  std::vector<const ModelService*> services,
                                  SchedulerOptions options)
-    : topo_(&topo), options_(std::move(options)) {
-  MARS_CHECK_ARG(!services.empty(), "scheduler needs at least one service");
-  models_.reserve(services.size());
-  for (const ModelService* service : services) {
-    MARS_CHECK_ARG(service != nullptr, "null service");
-    MARS_CHECK_ARG(service->problem().topo == topo_,
-                   "service '" << service->name()
-                               << "' was planned on a different topology");
-    // single_latency / proto were produced under the service's SimParams;
-    // replaying under different timing would silently disagree with them.
-    const sim::SimParams& planned = service->problem().sim_params;
-    MARS_CHECK_ARG(planned.link_latency == options_.sim.link_latency &&
-                       planned.host_latency == options_.sim.host_latency,
-                   "service '" << service->name()
-                               << "' was planned under different SimParams "
-                                  "than SchedulerOptions.sim");
-    models_.push_back(ServedModel{service->name(), &service->flat_proto(),
-                                  service->single_latency()});
-  }
-}
+    : OnlineScheduler(topo, views_of(topo, services, options.sim),
+                      std::move(options)) {}
 
 OnlineScheduler::OnlineScheduler(const topology::Topology& topo,
                                  std::vector<ServedModel> models,
@@ -672,21 +470,22 @@ OnlineScheduler::OnlineScheduler(const topology::Topology& topo,
   for (const ServedModel& model : models_) {
     MARS_CHECK_ARG(model.flat != nullptr,
                    "model '" << model.name << "' has no flat prototype");
+    model.flat->check_resources(topo.size());
   }
 }
 
 ServeResult OnlineScheduler::run(const std::vector<Request>& arrivals) const {
-  Engine engine(*topo_, models_, options_);
-  engine.reserve(arrivals.size());
+  Session session(*topo_, models_, options_);
+  session.reserve(arrivals.size());
   for (const Request& request : arrivals) {
     MARS_CHECK_ARG(request.model >= 0 && request.model < num_models(),
                    "request " << request.id << " targets unknown model index "
                               << request.model);
     MARS_CHECK_ARG(request.arrival.count() >= 0.0,
                    "request " << request.id << " arrives before t=0");
-    engine.add_arrival(request);
+    session.add_arrival(request);
   }
-  return engine.run();
+  return session.run();
 }
 
 ServeResult OnlineScheduler::run_closed_loop(const ClosedLoopSpec& spec,
@@ -700,9 +499,9 @@ ServeResult OnlineScheduler::run_closed_loop(const ClosedLoopSpec& spec,
                      spec.think.count() > 0.0,
                  "closed-loop admission control needs think > 0 (a rejected "
                  "client would retry at the same instant forever)");
-  Engine engine(*topo_, models_, options_);
-  engine.reserve(static_cast<std::size_t>(spec.clients()));
-  engine.enable_closed_loop(spec.think, duration);
+  Session session(*topo_, models_, options_);
+  session.reserve(static_cast<std::size_t>(spec.clients()));
+  session.enable_closed_loop(spec.think, duration);
   for (int c = 0; c < spec.clients(); ++c) {
     const int model = spec.client_model[static_cast<std::size_t>(c)];
     MARS_CHECK_ARG(model >= 0 && model < num_models(),
@@ -712,9 +511,9 @@ ServeResult OnlineScheduler::run_closed_loop(const ClosedLoopSpec& spec,
     request.model = model;
     request.arrival = Seconds(0.0);
     request.client = c;
-    engine.add_arrival(request);
+    session.add_arrival(request);
   }
-  return engine.run();
+  return session.run();
 }
 
 }  // namespace mars::serve

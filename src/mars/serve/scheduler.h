@@ -1,20 +1,17 @@
 // Online multi-tenant dispatcher: the serving counterpart of sim::Executor.
 //
 // The offline Executor replays one closed task graph from t=0; serving
-// instead sees an unbounded request stream. OnlineScheduler runs its own
-// deterministic event loop over the shared topology: request arrivals
-// feed per-model Batchers, every admitted request stamps an instance of
-// its model's flat prototype graph (ModelService::flat_proto) into a
-// recycled arena block — a header plus per-task missing-dependency
-// counters, no heap clone — and compute/transfer tasks then contend for
-// accelerators and directed channels exactly as in the Executor: one
-// compute per accelerator, one flow per channel, ties by event insertion
-// order, and a task that finds its resource busy parks in that
-// resource's wait queue (sim/wait_queue.h) until a release wakes it — one
-// wake per release, so dispatch cost stays linear in the backlog. This is
-// where co-resident models interfere: their tasks queue on the same
-// accelerator and channel timelines.
-// Steady-state dispatch allocates nothing (pinned by
+// instead sees an unbounded request stream. Both run on the same
+// discrete-event engine (sim/engine.h) over the shared topology: here,
+// request arrivals feed per-model Batchers, and every admitted request
+// adds an instance of its model's flat prototype graph
+// (ModelService::flat_proto) to the engine, whose compute/transfer tasks
+// then contend for accelerators and directed channels exactly as in the
+// Executor. This is where co-resident models interfere: their tasks queue
+// on the same accelerator and channel timelines. The scheduler keeps
+// admission, batching, request bookkeeping and tracing; its arrivals and
+// batch deadlines go into the engine's queue, ordered with the task
+// events. Steady-state dispatch allocates nothing (pinned by
 // tests/serve/test_zero_alloc.cpp); fleet-scale throughput numbers live
 // in docs/PERFORMANCE.md.
 //
@@ -112,7 +109,8 @@ class OnlineScheduler {
 
   /// Dispatches against bare model views (name + flat prototype +
   /// uncontended latency) instead of full ModelServices. The views' flat
-  /// graphs must target `topo` and outlive the scheduler. This is the
+  /// graphs must outlive the scheduler; one that names an accelerator
+  /// `topo` lacks throws InvalidArgument. This is the
   /// comap rollout entry point: candidate mappings become views without
   /// the planner/cache machinery a ModelService carries.
   OnlineScheduler(const topology::Topology& topo,

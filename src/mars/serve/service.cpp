@@ -88,10 +88,9 @@ ModelService::ModelService(std::string model_name,
   }
 
   const core::MappingEvaluator evaluator(planner_.problem());
-  proto_ = evaluator.build_task_graph(mapping_);
-  flat_proto_ = sim::FlatTaskGraph::from(proto_);
+  flat_proto_ = sim::FlatTaskGraph::from(evaluator.build_task_graph(mapping_));
   const sim::Executor executor(topo, planner_.problem().sim_params);
-  single_latency_ = executor.run(proto_).makespan;
+  single_latency_ = executor.run(flat_proto_).makespan;
 }
 
 std::string to_string(ModelService::MappingSource source) {

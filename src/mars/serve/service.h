@@ -5,9 +5,9 @@
 // plan::Planner holding the zoo graph, its conv spine and a Problem
 // sharing the fleet's topology/design registry, the chosen mapping
 // (produced by whichever plan::SearchEngine the fleet was configured
-// with, or rehydrated from the mapping cache), and the prototype
-// single-inference sim::TaskGraph the dispatcher clones once per admitted
-// request. Ownership note: the contained Problem points into the Planner
+// with, or rehydrated from the mapping cache), and the flat prototype
+// single-inference graph the engine replays once per admitted request.
+// Ownership note: the contained Problem points into the Planner
 // state, so a ModelService is pinned in memory (no copy/move); hold it
 // behind unique_ptr.
 #pragma once
@@ -55,15 +55,13 @@ class ModelService {
     return planner_.problem();
   }
   [[nodiscard]] const core::Mapping& mapping() const { return mapping_; }
-  /// Single-inference task graph under the chosen mapping (what the
-  /// dispatcher replays per request).
-  [[nodiscard]] const sim::TaskGraph& proto() const { return proto_; }
-  /// The same graph lowered to the flat index form the serving engine
-  /// stamps into arena slabs (built once at planning time).
+  /// Single-inference task graph under the chosen mapping, in the flat
+  /// index form the engine replays once per admitted request (built once
+  /// at planning time).
   [[nodiscard]] const sim::FlatTaskGraph& flat_proto() const {
     return flat_proto_;
   }
-  /// Uncontended single-inference latency of `proto` on the fleet.
+  /// Uncontended single-inference latency of `flat_proto` on the fleet.
   [[nodiscard]] Seconds single_latency() const { return single_latency_; }
   [[nodiscard]] MappingSource mapping_source() const { return source_; }
   /// Search provenance: the planning engine's identity and effort. For
@@ -79,7 +77,6 @@ class ModelService {
   core::Mapping mapping_;
   plan::Provenance provenance_;
   MappingSource source_ = MappingSource::kBaseline;
-  sim::TaskGraph proto_;
   sim::FlatTaskGraph flat_proto_;
   Seconds single_latency_{};
 };

@@ -5,7 +5,7 @@
 //
 // The heap lives in a plain vector (std::push_heap / std::pop_heap rather
 // than std::priority_queue) so callers that know the event volume up front
-// can reserve() it — the serving engine pre-sizes the queue to the arrival
+// can reserve() it — serving pre-sizes the engine's queue to the arrival
 // stream, which pins its steady-state heap allocations at zero. Pop order
 // is a pure function of the (time, seq) total order, not of the heap's
 // internal layout, so the swap changes no observable behaviour.

@@ -1,11 +1,8 @@
-// Event-driven task-graph execution with resource contention.
-//
-// Accelerators run one compute task at a time; directed channels carry one
-// flow at a time at full bandwidth. A task that finds its resource busy
-// parks in the resource's wait queue (sim/wait_queue.h), in the order its
-// retry would have popped, and a release pops one wake event, so a run
-// costs O(events log events) however deep the backlog. Multi-leg transfers (via the host) store-and-forward.
-// Deterministic: ties resolve by event insertion order.
+// Offline task-graph execution with resource contention: one instance of
+// the graph, replayed from t=0 on the discrete-event engine
+// (sim/engine.h), which holds the contention model. The executor lowers
+// the graph to a FlatTaskGraph and records when each task started and
+// finished.
 #pragma once
 
 #include <vector>
@@ -18,7 +15,6 @@ namespace mars::sim {
 struct TaskTiming {
   Seconds start{};
   Seconds end{};
-  bool executed = false;
 };
 
 struct ExecutionResult {
@@ -37,12 +33,14 @@ class Executor {
  public:
   Executor(const topology::Topology& topo, SimParams params = {});
 
-  /// Runs the whole graph to completion and reports the makespan.
+  /// Runs the whole graph to completion and reports the makespan. Throws
+  /// InvalidArgument when a task names an accelerator `topo` lacks.
   [[nodiscard]] ExecutionResult run(const TaskGraph& graph) const;
+  [[nodiscard]] ExecutionResult run(const FlatTaskGraph& graph) const;
 
  private:
   const topology::Topology* topo_;
-  Network network_;
+  SimParams params_;
 };
 
 }  // namespace mars::sim

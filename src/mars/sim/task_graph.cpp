@@ -103,4 +103,20 @@ FlatTaskGraph FlatTaskGraph::from(const TaskGraph& graph) {
   return flat;
 }
 
+void FlatTaskGraph::check_resources(int accelerators) const {
+  for (std::size_t t = 0; t < static_cast<std::size_t>(size); ++t) {
+    if (kinds[t] == TaskKind::kCompute) {
+      MARS_CHECK_ARG(accs[t] >= 0 && accs[t] < accelerators,
+                     "task " << t << " computes on accelerator " << accs[t]
+                             << ", but the topology has " << accelerators);
+    } else if (kinds[t] == TaskKind::kTransfer) {
+      for (const int end : {srcs[t], dsts[t]}) {
+        MARS_CHECK_ARG(end >= kHost && end < accelerators,
+                       "task " << t << " transfers via accelerator " << end
+                               << ", but the topology has " << accelerators);
+      }
+    }
+  }
+}
+
 }  // namespace mars::sim

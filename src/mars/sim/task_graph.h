@@ -89,6 +89,10 @@ struct FlatTaskGraph {
   std::vector<TaskId> roots;
 
   [[nodiscard]] static FlatTaskGraph from(const TaskGraph& graph);
+
+  /// Throws InvalidArgument naming the first task that computes on, or
+  /// transfers from or to, an accelerator outside [0, accelerators).
+  void check_resources(int accelerators) const;
 };
 
 }  // namespace mars::sim

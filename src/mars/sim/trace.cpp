@@ -43,7 +43,7 @@ std::string to_chrome_trace(const TaskGraph& graph, const ExecutionResult& resul
   bool first = true;
   for (const Task& task : graph.tasks()) {
     const TaskTiming& timing = result.timings[static_cast<std::size_t>(task.id)];
-    if (!timing.executed || task.kind == TaskKind::kBarrier) continue;
+    if (task.kind == TaskKind::kBarrier) continue;
     const double us = timing.start.micros();
     const double dur = (timing.end - timing.start).micros();
     std::string tid;

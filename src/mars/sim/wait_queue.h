@@ -1,7 +1,8 @@
 // Per-resource wait queues for the discrete-event loops.
 //
-// sim::Executor::run and the serving engine (serve/scheduler.cpp) give
-// every accelerator and every directed channel a wait queue. A task that
+// The event engine (sim/engine.h), which replays both sim::Executor runs
+// and serving, gives every accelerator and every directed channel a wait
+// queue. A task that
 // finds its resource busy parks, and a release pops one wake event rather
 // than every parked task retrying: retry polling (kept as the reference
 // loops in tests/support/polling_engine.h) pops O(backlog) events per

@@ -11,7 +11,7 @@
 // There is deliberately no per-object deallocate: lifetimes end
 // collectively at reset() (or when the arena dies). Callers that recycle
 // fixed-size blocks individually layer an intrusive free list on top — see
-// the instance pool in serve/scheduler.cpp.
+// the instance pool in sim/engine.h.
 //
 // Not thread-safe: one arena per engine (the sharded fleet gives each
 // shard's event loop its own).

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mars/plan/engines.h"
@@ -66,7 +67,7 @@ TEST_F(SchedulerTest, SingleRequestMatchesUncontendedLatency) {
   EXPECT_DOUBLE_EQ(done.latency().count(),
                    services_[0]->single_latency().count());
   EXPECT_EQ(result.batches_dispatched, 1);
-  EXPECT_EQ(result.tasks_executed, services_[0]->proto().size());
+  EXPECT_EQ(result.tasks_executed, services_[0]->flat_proto().size);
 }
 
 TEST_F(SchedulerTest, LateRequestLatencyIsArrivalRelative) {
@@ -224,6 +225,22 @@ TEST_F(SchedulerTest, RejectsForeignService) {
   const ModelService foreign("alexnet", other, designs_, /*adaptive=*/true,
                              plan::BaselineEngine{});
   EXPECT_THROW((void)OnlineScheduler(topo_, {&foreign}, {}), InvalidArgument);
+}
+
+TEST_F(SchedulerTest, RejectsModelsOnAcceleratorsTheTopologyLacks) {
+  // f1_16xlarge has accelerators 0..7.
+  sim::TaskGraph tg;
+  tg.add_compute(10, milliseconds(1.0), "off the fleet");
+  const sim::FlatTaskGraph flat = sim::FlatTaskGraph::from(tg);
+  try {
+    (void)OnlineScheduler(topo_, {ServedModel{"stray", &flat, Seconds(1e-3)}},
+                          {});
+    ADD_FAILURE() << "accepted a task on accelerator 10";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("task 0 computes on accelerator 10"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(SchedulerTest, RejectsMismatchedSimParams) {

