@@ -24,12 +24,12 @@ struct Admitted {
 
 /// The scheduler's own events: an arrival of `request`, or a re-check of
 /// model `request.model`'s batch timeout.
-struct Arrival {
+struct ServeEvent {
   Request request;
   bool deadline = false;
 };
 
-using Replay = sim::Engine<Admitted, Arrival>;
+using Replay = sim::Engine<Admitted, ServeEvent>;
 using Instance = Replay::Instance;
 
 /// The mutable state of one run: admission, batching, request bookkeeping
@@ -63,13 +63,18 @@ class Session : public sim::NoHooks {
     service_accs_.resize(models.size());
     for (std::size_t m = 0; m < models.size(); ++m) {
       const sim::FlatTaskGraph& flat = *models[m].flat;
-      std::vector<int>& accs = service_accs_[m];
-      for (std::size_t t = 0; t < flat.kinds.size(); ++t) {
-        if (flat.kinds[t] == TaskKind::kCompute) accs.push_back(flat.accs[t]);
+      std::vector<bool> used(static_cast<std::size_t>(topo.size()), false);
+      for (int t = 0; t < flat.size; ++t) {
+        if (flat.kinds[static_cast<std::size_t>(t)] == TaskKind::kCompute) {
+          used[static_cast<std::size_t>(
+              flat.accs[static_cast<std::size_t>(t)])] = true;
+        }
       }
-      std::sort(accs.begin(), accs.end());
-      accs.erase(std::unique(accs.begin(), accs.end()), accs.end());
+      for (int a = 0; a < topo.size(); ++a) {
+        if (used[static_cast<std::size_t>(a)]) service_accs_[m].push_back(a);
+      }
     }
+
     // Observability: resolve the recorder and registry once per run. Every
     // event below is emitted from this serial event loop with simulated
     // timestamps, so the simulated-domain trace is deterministic per seed
@@ -131,7 +136,7 @@ class Session : public sim::NoHooks {
   }
 
   void add_arrival(const Request& request) {
-    engine_.push(request.arrival, Arrival{request});
+    engine_.push(request.arrival, ServeEvent{request});
     next_request_id_ = std::max(next_request_id_, request.id + 1);
   }
 
@@ -172,7 +177,7 @@ class Session : public sim::NoHooks {
 
   // Engine hooks.
 
-  void external(const Arrival& event) {
+  void external(const ServeEvent& event) {
     if (event.deadline) {
       drain_batcher(event.request.model);
     } else {
@@ -192,6 +197,8 @@ class Session : public sim::NoHooks {
     const Seconds now = engine_.now();
     const Seconds end = now + duration;
     const Request& request = instance.meta.request;
+    // end - now, as the span always measured: it can differ from
+    // `duration` in the last bit, and the trace is pinned byte for byte.
     rec_->complete(obs::Clock::kSim, acc_tracks_[a],
                    (*models_)[static_cast<std::size_t>(request.model)].name,
                    now, end - now,
@@ -316,7 +323,7 @@ class Session : public sim::NoHooks {
     request.model = model;
     request.arrival = next;
     request.client = client;
-    engine_.push(next, Arrival{request});
+    engine_.push(next, ServeEvent{request});
   }
 
   void drain_batcher(int model) {
@@ -334,7 +341,7 @@ class Session : public sim::NoHooks {
       armed_deadline_[static_cast<std::size_t>(model)] = deadline;
       Request timeout;
       timeout.model = model;
-      engine_.push(*deadline, Arrival{timeout, /*deadline=*/true});
+      engine_.push(*deadline, ServeEvent{timeout, /*deadline=*/true});
     }
   }
 
