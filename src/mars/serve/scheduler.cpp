@@ -186,25 +186,10 @@ class Session : public sim::NoHooks {
   }
 
   /// The work moves from "queued" to "running" (the accelerator's free
-  /// time covers it). With a recorder installed: one busy span per compute
-  /// task on its accelerator's track (an accelerator runs one task at a
-  /// time, so spans on a track never overlap), plus the post-start
-  /// queued-work counter sample.
+  /// time covers it).
   void compute_started(Instance& instance, int acc, Seconds duration) {
-    const auto a = static_cast<std::size_t>(acc);
-    queued_work_[a] -= duration;
-    if (rec_ == nullptr) return;
-    const Seconds now = engine_.now();
-    const Seconds end = now + duration;
-    const Request& request = instance.meta.request;
-    // end - now, as the span always measured: it can differ from
-    // `duration` in the last bit, and the trace is pinned byte for byte.
-    rec_->complete(obs::Clock::kSim, acc_tracks_[a],
-                   (*models_)[static_cast<std::size_t>(request.model)].name,
-                   now, end - now,
-                   {{"request", JsonValue::integer(request.id)}});
-    rec_->counter(obs::Clock::kSim, queued_name_[a], now,
-                  queued_work_[a].count());
+    queued_work_[static_cast<std::size_t>(acc)] -= duration;
+    if (rec_ != nullptr) trace_compute(instance, acc, duration);
   }
 
   void completed(Instance& instance) {
@@ -280,6 +265,24 @@ class Session : public sim::NoHooks {
                       request.arrival);
     rec_->counter(obs::Clock::kSim, in_system_name_[m], request.arrival,
                   static_cast<double>(in_system_[m]));
+  }
+
+  /// One busy span per compute task on its accelerator's track (an
+  /// accelerator runs one task at a time, so spans on a track never
+  /// overlap), plus the post-start queued-work counter sample.
+  void trace_compute(const Instance& instance, int acc, Seconds duration) {
+    const auto a = static_cast<std::size_t>(acc);
+    const Seconds now = engine_.now();
+    const Seconds end = now + duration;
+    const Request& request = instance.meta.request;
+    // end - now, as the span always measured: it can differ from
+    // `duration` in the last bit, and the trace is pinned byte for byte.
+    rec_->complete(obs::Clock::kSim, acc_tracks_[a],
+                   (*models_)[static_cast<std::size_t>(request.model)].name,
+                   now, end - now,
+                   {{"request", JsonValue::integer(request.id)}});
+    rec_->counter(obs::Clock::kSim, queued_name_[a], now,
+                  queued_work_[a].count());
   }
 
   [[nodiscard]] bool admit(const Request& request) const {

