@@ -110,7 +110,7 @@ class Engine {
 
   /// Adds an instance of graph `graph` at now(): its roots become ready
   /// in id order.
-  Instance& add(int graph, const Meta& meta) {
+  void add(int graph, const Meta& meta) {
     const auto g = static_cast<std::size_t>(graph);
     const FlatTaskGraph& flat = *graphs_[g];
     Instance* instance = free_lists_[g];
@@ -133,7 +133,6 @@ class Engine {
     for (const TaskId root : flat.roots) {
       queue_.push(now_, Event(Kind::kTryStart, Ref{instance, root, 0}));
     }
-    return *instance;
   }
 
   /// Pops events until none is left, reporting to `hooks`.
