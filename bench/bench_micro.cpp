@@ -95,8 +95,10 @@ void BM_LayerCost(benchmark::State& state) {
   set.begin = 0;
   set.end = fx.spine.size();
   const parallel::Strategy strategy({{parallel::Dim::kCout, 4}}, std::nullopt);
+  const Bandwidth internal_bw = model.internal_bandwidth(set);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.layer_cost(set, 5, strategy, std::nullopt));
+    benchmark::DoNotOptimize(
+        model.layer_cost(set, 5, strategy, std::nullopt, internal_bw));
   }
 }
 BENCHMARK(BM_LayerCost);

@@ -91,9 +91,17 @@ Seconds AnalyticalCostModel::fused_time(const LayerAssignment& set, int layer,
   return worst;
 }
 
+Bandwidth AnalyticalCostModel::internal_bandwidth(const LayerAssignment& set) const {
+  if (set.num_accs() <= 1) {
+    return Bandwidth(std::numeric_limits<double>::infinity());
+  }
+  return problem_->topo->min_internal_bandwidth(set.accs);
+}
+
 LayerCost AnalyticalCostModel::layer_cost(
     const LayerAssignment& set, int layer, const parallel::Strategy& strategy,
-    const std::optional<parallel::ActivationSharding>& upstream) const {
+    const std::optional<parallel::ActivationSharding>& upstream,
+    Bandwidth internal_bw) const {
   const graph::ConvSpine& spine = *problem_->spine;
   const int p = set.num_accs();
   const graph::ConvShape& shape = spine.node(layer).shape;
@@ -109,8 +117,6 @@ LayerCost AnalyticalCostModel::layer_cost(
       fused_time(set, layer, p);
 
   if (p > 1) {
-    const Bandwidth internal_bw =
-        problem_->topo->min_internal_bandwidth(set.accs);
     // SS ring hops between phases (non-overlapped, per Fig. 2(c)).
     if (plan.phases > 1) {
       const Seconds hop =
@@ -154,6 +160,7 @@ SetCost AnalyticalCostModel::set_cost(const LayerAssignment& set) const {
   MARS_CHECK_ARG(static_cast<int>(set.strategies.size()) == set.num_layers(),
                  "strategy arity mismatch");
 
+  const Bandwidth internal_bw = internal_bandwidth(set);
   SetCost cost;
   std::vector<parallel::ShardingPlan> plans;
   plans.reserve(static_cast<std::size_t>(set.num_layers()));
@@ -162,7 +169,7 @@ SetCost AnalyticalCostModel::set_cost(const LayerAssignment& set) const {
   for (int layer = set.begin; layer < set.end; ++layer) {
     const parallel::Strategy& strategy =
         set.strategies[static_cast<std::size_t>(layer - set.begin)];
-    const LayerCost lc = layer_cost(set, layer, strategy, upstream);
+    const LayerCost lc = layer_cost(set, layer, strategy, upstream, internal_bw);
     cost.latency.compute += lc.compute;
     cost.latency.intra_set += lc.intra_set;
     upstream = lc.plan.produced;
@@ -171,13 +178,11 @@ SetCost AnalyticalCostModel::set_cost(const LayerAssignment& set) const {
 
   // DRAM validity across the whole range.
   cost.footprint = parallel::footprint(spine, set.begin, set.end, plans);
-  const Bytes dram = [&] {
-    Bytes smallest(std::numeric_limits<double>::infinity());
-    for (topology::AccId acc : topology::mask_members(set.accs)) {
-      smallest = std::min(smallest, topo.accelerator(acc).dram);
-    }
-    return smallest;
-  }();
+  Bytes dram(std::numeric_limits<double>::infinity());
+  for (topology::AccMask rest = set.accs; rest != 0; rest &= rest - 1) {
+    const auto acc = static_cast<topology::AccId>(std::countr_zero(rest));
+    dram = std::min(dram, topo.accelerator(acc).dram);
+  }
   cost.memory_ok = cost.footprint.fits(dram);
   cost.penalized = cost.latency.total();
   if (!cost.memory_ok) {

@@ -70,10 +70,18 @@ class AnalyticalCostModel {
  public:
   explicit AnalyticalCostModel(const Problem& problem);
 
-  /// Cost of executing spine layer `layer` on `set` with `strategy`.
+  /// Bandwidth of `set`'s intra-set traffic: the topology's
+  /// min_internal_bandwidth for two or more members (throws when they are
+  /// not connected), infinite for a single accelerator. It depends only on
+  /// the set's mask, so callers compute it once per set, not per layer.
+  [[nodiscard]] Bandwidth internal_bandwidth(const LayerAssignment& set) const;
+
+  /// Cost of executing spine layer `layer` on `set` with `strategy`, where
+  /// `internal_bw` is internal_bandwidth(set).
   [[nodiscard]] LayerCost layer_cost(
       const LayerAssignment& set, int layer, const parallel::Strategy& strategy,
-      const std::optional<parallel::ActivationSharding>& upstream) const;
+      const std::optional<parallel::ActivationSharding>& upstream,
+      Bandwidth internal_bw) const;
 
   /// Internal cost of one set: compute + fused DRAM + rings + All-Reduce +
   /// intra-set resharding + entry scatter, plus the memory check.

@@ -24,7 +24,42 @@ std::vector<parallel::Dim> dims_by_priority(const double* genes) {
 
 SecondLevelSearch::SecondLevelSearch(const Problem& problem,
                                      SecondLevelConfig config)
-    : problem_(&problem), config_(config), model_(problem) {}
+    : problem_(&problem),
+      config_(config),
+      model_(problem),
+      slots_(std::make_unique<OptionSlot[]>(
+          static_cast<std::size_t>(problem.topo->size()) + 1)) {
+  const graph::ConvSpine& spine = *problem.spine;
+  shape_class_.reserve(static_cast<std::size_t>(spine.size()));
+  for (int layer = 0; layer < spine.size(); ++layer) {
+    const graph::ConvShape& shape = spine.node(layer).shape;
+    const auto same = std::find_if(
+        class_layer_.begin(), class_layer_.end(),
+        [&](int first) { return spine.node(first).shape == shape; });
+    shape_class_.push_back(static_cast<int>(same - class_layer_.begin()));
+    if (same == class_layer_.end()) class_layer_.push_back(layer);
+  }
+}
+
+const std::vector<parallel::Strategy>& SecondLevelSearch::strategy_options(
+    int layer, int p) const {
+  OptionSlot& slot = slots_[static_cast<std::size_t>(p)];
+  std::call_once(slot.filled, [&] {
+    std::vector<std::vector<parallel::Strategy>> by_class;
+    by_class.reserve(class_layer_.size());
+    for (int first : class_layer_) {
+      std::vector<parallel::Strategy> list = parallel::enumerate_strategies(
+          problem_->spine->node(first).shape, p, config_.max_es_dims);
+      if (!config_.enable_ss) {
+        std::erase_if(list, [](const parallel::Strategy& s) { return s.has_ss(); });
+      }
+      by_class.push_back(std::move(list));
+    }
+    slot.by_class = std::move(by_class);
+  });
+  return slot.by_class[static_cast<std::size_t>(
+      shape_class_[static_cast<std::size_t>(layer)])];
+}
 
 parallel::Strategy SecondLevelSearch::decode_layer(const graph::ConvShape& shape,
                                                    int p,
@@ -107,21 +142,21 @@ std::vector<parallel::Strategy> SecondLevelSearch::decode_all(
 
 SecondLevelResult SecondLevelSearch::greedy(const LayerAssignment& skeleton) const {
   const int p = skeleton.num_accs();
+  MARS_CHECK_ARG(p >= 1 && p <= problem_->topo->size(),
+                 "skeleton set " << topology::mask_to_string(skeleton.accs)
+                                 << " has " << p << " members; topology '"
+                                 << problem_->topo->name() << "' has "
+                                 << problem_->topo->size());
+  MARS_CHECK_ARG(0 <= skeleton.begin && skeleton.begin < skeleton.end &&
+                     skeleton.end <= problem_->spine->size(),
+                 "skeleton layer range [" << skeleton.begin << ", "
+                                          << skeleton.end << ") out of bounds");
+  const Bandwidth internal_bw = model_.internal_bandwidth(skeleton);
   SecondLevelResult result;
   std::optional<parallel::ActivationSharding> upstream;
 
-  LayerAssignment probe = skeleton;  // carries accs/design for layer_cost
   for (int layer = skeleton.begin; layer < skeleton.end; ++layer) {
-    const graph::ConvShape& shape = problem_->spine->node(layer).shape;
-    std::vector<parallel::Strategy> options =
-        parallel::enumerate_strategies(shape, p, config_.max_es_dims);
-    if (!config_.enable_ss) {
-      options.erase(std::remove_if(options.begin(), options.end(),
-                                   [](const parallel::Strategy& s) {
-                                     return s.has_ss();
-                                   }),
-                    options.end());
-    }
+    const std::vector<parallel::Strategy>& options = strategy_options(layer, p);
     MARS_CHECK(!options.empty(), "no valid strategy for layer "
                                      << problem_->spine->node(layer).name
                                      << " on " << p << " accelerators");
@@ -129,7 +164,8 @@ SecondLevelResult SecondLevelSearch::greedy(const LayerAssignment& skeleton) con
     Seconds best_time(0.0);
     LayerCost best_cost;
     for (const parallel::Strategy& option : options) {
-      const LayerCost cost = model_.layer_cost(probe, layer, option, upstream);
+      const LayerCost cost =
+          model_.layer_cost(skeleton, layer, option, upstream, internal_bw);
       if (best == nullptr || cost.total() < best_time) {
         best = &option;
         best_time = cost.total();
@@ -167,23 +203,15 @@ SecondLevelResult SecondLevelSearch::greedy(const LayerAssignment& skeleton) con
     for (int index : order) {
       const int layer = skeleton.begin + index;
       const graph::ConvShape& shape = problem_->spine->node(layer).shape;
-      std::vector<parallel::Strategy> options =
-          parallel::enumerate_strategies(shape, p, config_.max_es_dims);
-      if (!config_.enable_ss) {
-        options.erase(std::remove_if(options.begin(), options.end(),
-                                     [](const parallel::Strategy& s) {
-                                       return s.has_ss();
-                                     }),
-                      options.end());
-      }
       const parallel::Strategy* lightest = nullptr;
       Bytes lightest_bytes{};
       Seconds lightest_time{};
-      for (const parallel::Strategy& option : options) {
+      for (const parallel::Strategy& option : strategy_options(layer, p)) {
         const parallel::ShardingPlan plan =
             parallel::make_plan(shape, problem_->spine->dtype(), option, p);
         const Seconds time =
-            model_.layer_cost(skeleton, layer, option, std::nullopt).total();
+            model_.layer_cost(skeleton, layer, option, std::nullopt, internal_bw)
+                .total();
         if (lightest == nullptr || plan.weight_resident < lightest_bytes ||
             (plan.weight_resident == lightest_bytes && time < lightest_time)) {
           lightest = &option;

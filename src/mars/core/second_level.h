@@ -11,6 +11,9 @@
 //    skeleton and for the Fig. 3 convergence bench.
 #pragma once
 
+#include <memory>
+#include <mutex>
+
 #include "mars/core/cost_model.h"
 #include "mars/ga/engine.h"
 
@@ -48,6 +51,9 @@ class SecondLevelSearch {
                                                 const double* genes) const;
 
   /// Forward-greedy strategy selection for `skeleton` (strategies ignored).
+  /// Throws InvalidArgument unless the set has 1..topology-size members
+  /// and a non-empty layer range inside the spine. Safe to call from
+  /// several threads at once.
   [[nodiscard]] SecondLevelResult greedy(const LayerAssignment& skeleton) const;
 
   /// GA polish, seeded with `seed_strategies` when provided.
@@ -63,9 +69,26 @@ class SecondLevelSearch {
   [[nodiscard]] std::vector<parallel::Strategy> decode_all(
       const LayerAssignment& skeleton, const ga::Genome& genome) const;
 
+  /// greedy()'s candidate strategies for spine layer `layer` on p
+  /// accelerators: enumerate_strategies, minus SS when it is disabled.
+  [[nodiscard]] const std::vector<parallel::Strategy>& strategy_options(
+      int layer, int p) const;
+
+  // Option table keyed by (p, shape class); layers with identical
+  // ConvShapes share a class. The slot for p is filled on first use, once,
+  // under its flag: greedy runs on worker-pool threads, and filling every
+  // p up front would dominate construction on large topologies.
+  struct OptionSlot {
+    std::once_flag filled;
+    std::vector<std::vector<parallel::Strategy>> by_class;
+  };
+
   const Problem* problem_;
   SecondLevelConfig config_;
   AnalyticalCostModel model_;
+  std::vector<int> shape_class_;        // spine layer -> shape class
+  std::vector<int> class_layer_;        // shape class -> its first layer
+  std::unique_ptr<OptionSlot[]> slots_;  // index p in [0, topology size]
 };
 
 }  // namespace mars::core

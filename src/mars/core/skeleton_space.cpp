@@ -55,12 +55,10 @@ SkeletonSpace::~SkeletonSpace() {
   }
 }
 
-const SecondLevelResult& SkeletonSpace::second_level_for(
-    const LayerAssignment& skeleton) {
-  return memo_.get(key_of(skeleton), &skeleton,
-                   [this](const LayerAssignment* set) {
-                     return second_.greedy(*set);
-                   });
+Seconds SkeletonSpace::set_latency(const LayerAssignment& set) {
+  return memo_.get(key_of(set), &set, [this](const LayerAssignment* input) {
+    return second_.greedy(*input).cost.penalized;
+  });
 }
 
 double SkeletonSpace::fitness(const Skeleton& skeleton) {
@@ -69,7 +67,7 @@ double SkeletonSpace::fitness(const Skeleton& skeleton) {
   std::vector<Seconds> latencies;
   latencies.reserve(skeleton.sets.size());
   for (const LayerAssignment& set : skeleton.sets) {
-    latencies.push_back(second_level_for(set).cost.penalized);
+    latencies.push_back(set_latency(set));
   }
   return evaluator_.analytical()
       .aggregate_makespan(skeleton.sets, latencies)
@@ -87,7 +85,7 @@ void SkeletonSpace::price_sets(const std::vector<Skeleton>& skeletons,
     for (std::size_t s = ranges[i].first; s < ranges[i].second; ++s) {
       const Memo::Ticket ticket = sweep.probe(key_of(sets[s]), &sets[s]);
       if (ticket.cached != nullptr) {
-        latencies[i][s] = ticket.cached->cost.penalized;
+        latencies[i][s] = *ticket.cached;
       } else {
         pending.emplace_back(&latencies[i][s], ticket);
       }
@@ -96,10 +94,10 @@ void SkeletonSpace::price_sets(const std::vector<Skeleton>& skeletons,
   // greedy() is a pure const function of the key, so the sweep may price
   // the new keys on any thread.
   sweep.resolve(pool, [this](const LayerAssignment* set) {
-    return second_.greedy(*set);
+    return second_.greedy(*set).cost.penalized;
   });
   for (const auto& [latency, ticket] : pending) {
-    *latency = sweep[ticket].cost.penalized;
+    *latency = sweep[ticket];
   }
 }
 
@@ -309,8 +307,13 @@ void SkeletonSpace::remember(const ga::Genome& genome, EvalRecord record) {
 Mapping SkeletonSpace::complete(const Skeleton& skeleton) {
   Mapping mapping;
   for (const LayerAssignment& set : skeleton.sets) {
+    SecondLevelResult second = second_.greedy(set);
+    // Charged to the memo like any other lookup of the set.
+    (void)memo_.get(key_of(set), &set, [&](const LayerAssignment*) {
+      return second.cost.penalized;
+    });
     LayerAssignment full = set;
-    full.strategies = second_level_for(set).strategies;
+    full.strategies = std::move(second.strategies);
     mapping.sets.push_back(std::move(full));
   }
   return mapping;

@@ -104,7 +104,7 @@ class SkeletonSpace {
       const std::vector<GenomeDelta>& deltas,
       util::WorkerPool* pool = nullptr);
 
-  /// `skeleton` with its memoised second-level strategies filled in.
+  /// `skeleton` with its second-level greedy strategies filled in.
   [[nodiscard]] Mapping complete(const Skeleton& skeleton);
 
   /// GA-polish every set's strategies in place (the paper's refine-winner
@@ -171,11 +171,11 @@ class SkeletonSpace {
     return {set.begin, set.end, set.accs, set.design};
   }
 
-  [[nodiscard]] const SecondLevelResult& second_level_for(
-      const LayerAssignment& skeleton);
+  /// The set's penalized second-level latency, through the memo.
+  [[nodiscard]] Seconds set_latency(const LayerAssignment& set);
 
-  using Memo = util::MemoBatch<CacheKey, SecondLevelResult,
-                               const LayerAssignment*, CacheKeyHash>;
+  using Memo =
+      util::MemoBatch<CacheKey, Seconds, const LayerAssignment*, CacheKeyHash>;
   using SetRange = std::pair<std::size_t, std::size_t>;  // [first, second)
 
   /// One memo sweep: the penalized latency of every set in ranges[i] of
@@ -212,7 +212,9 @@ class SkeletonSpace {
   obs::Counter* delta_unchanged_;
   obs::Counter* delta_bails_;
   /// Second-level memo per (layer range, AccSet, design), charging the
-  /// memo counters above.
+  /// memo counters above. It keeps only the penalized latency the fitness
+  /// reads: the search prices thousands of sets and completes a few, and
+  /// complete() re-runs the deterministic greedy for those few.
   Memo memo_;
   /// Word-at-a-time FNV-1a over the genes' bit patterns. Hashing bit
   /// patterns is sound here: equality stays the exact operator== on the

@@ -109,6 +109,17 @@ ConvSpine ConvSpine::extract(const Graph& graph) {
     }
   }
 
+  // Spanning bytes: each edge adds to the nodes strictly between its ends.
+  // Edges are visited in storage order, so every node's sum adds the same
+  // terms in the same order as a per-node scan over the edges would.
+  spine.spanning_bytes_.resize(spine.nodes_.size());
+  for (const SpineEdge& edge : spine.edges_) {
+    for (int index = std::max(edge.producer + 1, 0); index < edge.consumer;
+         ++index) {
+      spine.spanning_bytes_[static_cast<std::size_t>(index)] += edge.bytes;
+    }
+  }
+
   // Network output bytes: everything the graph sinks produce.
   Bytes out{};
   for (LayerId sink : graph.outputs()) {
@@ -136,11 +147,7 @@ Bytes ConvSpine::cut_bytes(int cut) const {
 
 Bytes ConvSpine::spanning_bytes(int index) const {
   MARS_CHECK_ARG(index >= 0 && index < size(), "index out of range");
-  Bytes total{};
-  for (const SpineEdge& edge : edges_) {
-    if (edge.producer < index && edge.consumer > index) total += edge.bytes;
-  }
-  return total;
+  return spanning_bytes_[static_cast<std::size_t>(index)];
 }
 
 Bytes ConvSpine::input_bytes() const {

@@ -107,7 +107,8 @@ class ConvSpine {
   [[nodiscard]] Bytes cut_bytes(int cut) const;
 
   /// Bytes of tensors that are live across node `index` without being its
-  /// direct input (residual/branch tensors that must stay buffered).
+  /// direct input (residual/branch tensors that must stay buffered): the
+  /// edges with producer < index < consumer. Precomputed by extract().
   [[nodiscard]] Bytes spanning_bytes(int index) const;
 
   /// Bytes the final spine node ships back toward the host (network output).
@@ -123,6 +124,7 @@ class ConvSpine {
   DataType dtype_ = DataType::kFix16;
   std::vector<SpineNode> nodes_;
   std::vector<SpineEdge> edges_;
+  std::vector<Bytes> spanning_bytes_;  // per node
   Bytes output_bytes_{};
 };
 

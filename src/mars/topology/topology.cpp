@@ -99,20 +99,22 @@ AccMask Topology::full_mask() const {
   return size() == 64 ? ~AccMask{0} : (AccMask{1} << static_cast<unsigned>(size())) - 1;
 }
 
-bool Topology::connected(AccMask mask) const {
-  const std::vector<AccId> members = mask_members(mask);
-  if (members.empty()) return false;
-  if (members.size() == 1) return true;
+// The member loops below walk a mask's set bits in ascending order
+// (`rest &= rest - 1` drops the lowest) instead of materialising
+// mask_members: they run on the search's hot paths.
 
-  AccMask visited = mask_of(members.front());
-  std::vector<AccId> frontier{members.front()};
-  while (!frontier.empty()) {
-    const AccId current = frontier.back();
-    frontier.pop_back();
-    for (AccId other : members) {
-      if (!mask_contains(visited, other) && has_link(current, other)) {
+bool Topology::connected(AccMask mask) const {
+  if (mask == 0) return false;
+  AccMask visited = mask & (~mask + 1);  // lowest member
+  AccMask frontier = visited;
+  while (frontier != 0) {
+    const auto current = static_cast<AccId>(std::countr_zero(frontier));
+    frontier &= frontier - 1;
+    for (AccMask rest = mask & ~visited; rest != 0; rest &= rest - 1) {
+      const auto other = static_cast<AccId>(std::countr_zero(rest));
+      if (has_link(current, other)) {
         visited |= mask_of(other);
-        frontier.push_back(other);
+        frontier |= mask_of(other);
       }
     }
   }
@@ -120,24 +122,25 @@ bool Topology::connected(AccMask mask) const {
 }
 
 Bandwidth Topology::min_internal_bandwidth(AccMask mask) const {
-  const std::vector<AccId> members = mask_members(mask);
-  MARS_CHECK_ARG(!members.empty(), "empty accelerator set");
-  if (members.size() == 1) return Bandwidth(std::numeric_limits<double>::infinity());
+  MARS_CHECK_ARG(mask != 0, "empty accelerator set");
+  if (mask_count(mask) == 1) {
+    return Bandwidth(std::numeric_limits<double>::infinity());
+  }
   MARS_CHECK_ARG(connected(mask),
                  "set " << mask_to_string(mask) << " is not connected");
 
   // Maximum-bottleneck spanning structure (Prim on min edge): the internal
   // collective bandwidth is limited by the weakest edge the set must use,
   // chosen as favourably as possible.
-  AccMask in_tree = mask_of(members.front());
+  AccMask in_tree = mask & (~mask + 1);
   double bottleneck = std::numeric_limits<double>::infinity();
   while (in_tree != mask) {
     double best = 0.0;
     AccId best_next = -1;
-    for (AccId a : members) {
-      if (!mask_contains(in_tree, a)) continue;
-      for (AccId b : members) {
-        if (mask_contains(in_tree, b) || !has_link(a, b)) continue;
+    for (AccMask from = in_tree; from != 0; from &= from - 1) {
+      const auto a = static_cast<AccId>(std::countr_zero(from));
+      for (AccMask to = mask & ~in_tree; to != 0; to &= to - 1) {
+        const auto b = static_cast<AccId>(std::countr_zero(to));
         const double bw = link(a, b).bits_per_second();
         if (bw > best) {
           best = bw;
@@ -155,8 +158,10 @@ Bandwidth Topology::min_internal_bandwidth(AccMask mask) const {
 Bandwidth Topology::best_link_between(AccMask a, AccMask b) const {
   MARS_CHECK_ARG((a & b) == 0, "sets overlap");
   double best = 0.0;
-  for (AccId i : mask_members(a)) {
-    for (AccId j : mask_members(b)) {
+  for (AccMask from = a; from != 0; from &= from - 1) {
+    const auto i = static_cast<AccId>(std::countr_zero(from));
+    for (AccMask to = b; to != 0; to &= to - 1) {
+      const auto j = static_cast<AccId>(std::countr_zero(to));
       best = std::max(best, link(i, j).bits_per_second());
     }
   }
@@ -164,10 +169,10 @@ Bandwidth Topology::best_link_between(AccMask a, AccMask b) const {
 }
 
 Bandwidth Topology::min_host_bandwidth(AccMask mask) const {
-  const std::vector<AccId> members = mask_members(mask);
-  MARS_CHECK_ARG(!members.empty(), "empty accelerator set");
+  MARS_CHECK_ARG(mask != 0, "empty accelerator set");
   double min_bw = std::numeric_limits<double>::infinity();
-  for (AccId id : members) {
+  for (AccMask rest = mask; rest != 0; rest &= rest - 1) {
+    const auto id = static_cast<AccId>(std::countr_zero(rest));
     min_bw = std::min(min_bw, host_bandwidth(id).bits_per_second());
   }
   return Bandwidth(min_bw);

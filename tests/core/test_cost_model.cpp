@@ -31,7 +31,8 @@ TEST_F(CostModelTest, LayerCostPositiveAndDecomposed) {
   const Mapping mapping = two_set_mapping(fx_.problem);
   const LayerAssignment& set = mapping.sets.front();
   const LayerCost cost =
-      model_.layer_cost(set, 0, set.strategies.front(), std::nullopt);
+      model_.layer_cost(set, 0, set.strategies.front(), std::nullopt,
+                        model_.internal_bandwidth(set));
   EXPECT_GT(cost.compute.count(), 0.0);
   EXPECT_GT(cost.intra_set.count(), 0.0);  // entry scatter at least
   EXPECT_DOUBLE_EQ(cost.total().count(),
@@ -43,7 +44,8 @@ TEST_F(CostModelTest, ComputeMatchesDesignModelTimesPhases) {
   const LayerAssignment& set = mapping.sets.front();
   const parallel::Strategy ss_strategy({{parallel::Dim::kH, 4}},
                                        parallel::Dim::kCout);
-  const LayerCost cost = model_.layer_cost(set, 0, ss_strategy, std::nullopt);
+  const LayerCost cost = model_.layer_cost(
+      set, 0, ss_strategy, std::nullopt, model_.internal_bandwidth(set));
   const parallel::ShardingPlan plan = parallel::make_plan(
       fx_.spine.node(0).shape, fx_.spine.dtype(), ss_strategy, 4);
   const Seconds per_phase = fx_.designs.design(set.design)
@@ -55,12 +57,13 @@ TEST_F(CostModelTest, AllReduceChargedForReductionES) {
   const Mapping mapping = two_set_mapping(fx_.problem);
   const LayerAssignment& set = mapping.sets.front();
   const parallel::ActivationSharding upstream{1, 1, 1};  // aligned: no reshard
+  const Bandwidth bw = model_.internal_bandwidth(set);
 
   const parallel::Strategy no_red({{parallel::Dim::kCout, 4}}, std::nullopt);
   const parallel::Strategy with_red({{parallel::Dim::kCin, 4}}, std::nullopt);
   // Layer 1 (conv2) has Cin = 64.
-  const LayerCost a = model_.layer_cost(set, 1, no_red, upstream);
-  const LayerCost b = model_.layer_cost(set, 1, with_red, upstream);
+  const LayerCost a = model_.layer_cost(set, 1, no_red, upstream, bw);
+  const LayerCost b = model_.layer_cost(set, 1, with_red, upstream, bw);
   EXPECT_GT(b.intra_set.count(), a.intra_set.count());
 }
 
@@ -68,11 +71,12 @@ TEST_F(CostModelTest, SsPhasesPayRingHops) {
   const Mapping mapping = two_set_mapping(fx_.problem);
   const LayerAssignment& set = mapping.sets.front();
   const parallel::ActivationSharding upstream{1, 4, 1};
+  const Bandwidth bw = model_.internal_bandwidth(set);
 
   const parallel::Strategy plain({{parallel::Dim::kH, 4}}, std::nullopt);
   const parallel::Strategy shared({{parallel::Dim::kH, 4}}, parallel::Dim::kCout);
-  const LayerCost a = model_.layer_cost(set, 1, plain, upstream);
-  const LayerCost b = model_.layer_cost(set, 1, shared, upstream);
+  const LayerCost a = model_.layer_cost(set, 1, plain, upstream, bw);
+  const LayerCost b = model_.layer_cost(set, 1, shared, upstream, bw);
   EXPECT_GT(b.intra_set.count(), a.intra_set.count());
 }
 

@@ -9,30 +9,7 @@
 namespace mars::core {
 namespace {
 
-struct TightFixture {
-  graph::Graph model = graph::models::vgg16();
-  graph::ConvSpine spine = graph::ConvSpine::extract(model);
-  topology::Topology topo;
-  accel::DesignRegistry designs = accel::table2_designs();
-  Problem problem;
-
-  explicit TightFixture(double dram_mib)
-      : topo(topology::f1_16xlarge(gbps(8.0), gbps(2.0), mebibytes(dram_mib))) {
-    problem.spine = &spine;
-    problem.topo = &topo;
-    problem.designs = &designs;
-    problem.adaptive = true;
-  }
-
-  LayerAssignment whole_network_on_group() const {
-    LayerAssignment set;
-    set.accs = 0b1111;
-    set.design = 1;  // systolic
-    set.begin = 0;
-    set.end = spine.size();
-    return set;
-  }
-};
+using testing::TightFixture;
 
 TEST(MemoryRepair, AmpleDramNeedsNoRepair) {
   TightFixture fx(1024.0);

@@ -104,7 +104,8 @@ TEST_F(SecondLevelTest, GreedyBeatsWorstEnumerated) {
     const parallel::Strategy* worst_s = nullptr;
     Seconds worst_t(0.0);
     for (const parallel::Strategy& option : options) {
-      const LayerCost cost = model.layer_cost(set, l, option, std::nullopt);
+      const LayerCost cost = model.layer_cost(set, l, option, std::nullopt,
+                                               model.internal_bandwidth(set));
       if (worst_s == nullptr || cost.total() > worst_t) {
         worst_s = &option;
         worst_t = cost.total();
@@ -160,6 +161,45 @@ TEST_F(SecondLevelTest, GreedyPrefersCheapStrategiesOnSlowLinks) {
   // Compute-only lower bound.
   EXPECT_LT(result.cost.latency.intra_set.count(),
             result.cost.latency.compute.count() * 3.0);
+}
+
+TEST_F(SecondLevelTest, DisconnectedSetKeepsTheNamedError) {
+  // F1's two groups of four share no direct link.
+  const LayerAssignment set = skeleton(0, 3, 0b00010001);
+  const auto expect_not_connected = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "expected InvalidArgument";
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find("is not connected"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  expect_not_connected([&] { (void)search_.greedy(set); });
+  expect_not_connected([&] { (void)search_.model().internal_bandwidth(set); });
+  LayerAssignment full = set;
+  full.strategies.assign(3, parallel::Strategy(
+                                {{parallel::Dim::kCout, 2}}, std::nullopt));
+  expect_not_connected([&] { (void)search_.model().set_cost(full); });
+}
+
+TEST_F(SecondLevelTest, GreedyRejectsSetSizesOutsideTheTopology) {
+  EXPECT_THROW((void)search_.greedy(skeleton(0, 3, 0)), InvalidArgument);
+  // Nine members on the eight-accelerator F1.
+  EXPECT_THROW((void)search_.greedy(skeleton(0, 3, 0x1FF)), InvalidArgument);
+  EXPECT_THROW((void)search_.greedy(skeleton(0, 3, ~topology::AccMask{0})),
+               InvalidArgument);
+  // A member id past the topology, at a size the table holds.
+  EXPECT_THROW((void)search_.greedy(skeleton(0, 3, 0x101)), InvalidArgument);
+  EXPECT_THROW((void)search_.greedy(skeleton(0, 3, 0x100)), InvalidArgument);
+}
+
+TEST_F(SecondLevelTest, GreedyRejectsLayerRangesOutsideTheSpine) {
+  EXPECT_THROW((void)search_.greedy(skeleton(-1, 3)), InvalidArgument);
+  EXPECT_THROW((void)search_.greedy(skeleton(2, 2)), InvalidArgument);
+  EXPECT_THROW((void)search_.greedy(skeleton(0, fx_.spine.size() + 1)),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -49,6 +49,34 @@ struct FixedFixture {
   }
 };
 
+/// VGG16 on F1 with every accelerator's DRAM shrunk to `dram_mib`: at
+/// 48 MiB the latency-greedy strategies overflow and the second level's
+/// memory repair has to step in.
+struct TightFixture {
+  graph::Graph model = graph::models::vgg16();
+  graph::ConvSpine spine = graph::ConvSpine::extract(model);
+  topology::Topology topo;
+  accel::DesignRegistry designs = accel::table2_designs();
+  Problem problem;
+
+  explicit TightFixture(double dram_mib)
+      : topo(topology::f1_16xlarge(gbps(8.0), gbps(2.0), mebibytes(dram_mib))) {
+    problem.spine = &spine;
+    problem.topo = &topo;
+    problem.designs = &designs;
+    problem.adaptive = true;
+  }
+
+  LayerAssignment whole_network_on_group() const {
+    LayerAssignment set;
+    set.accs = 0b1111;
+    set.design = 1;  // systolic
+    set.begin = 0;
+    set.end = spine.size();
+    return set;
+  }
+};
+
 /// A small valid mapping: first half of the spine on group 1 with design 0,
 /// second half on group 2 with design 1; every layer split Cout x p.
 inline Mapping two_set_mapping(const Problem& problem) {

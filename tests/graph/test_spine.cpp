@@ -186,5 +186,12 @@ TEST(Spine, MultiStreamModelHasMultipleInputEdges) {
   EXPECT_EQ(input_edges, 3);  // RGB, depth, IR streams
 }
 
+TEST(Spine, SpanningBytesRejectsIndicesOutsideTheSpine) {
+  const ConvSpine spine = ConvSpine::extract(models::resnet34());
+  EXPECT_THROW((void)spine.spanning_bytes(-1), InvalidArgument);
+  EXPECT_THROW((void)spine.spanning_bytes(spine.size()), InvalidArgument);
+  EXPECT_NO_THROW((void)spine.spanning_bytes(spine.size() - 1));
+}
+
 }  // namespace
 }  // namespace mars::graph

@@ -126,7 +126,8 @@ TEST(Agreement, GreedySecondLevelChoicesHoldUpInSimulation) {
     const parallel::Strategy* worst = nullptr;
     Seconds worst_t(0.0);
     for (const parallel::Strategy& option : options) {
-      const LayerCost cost = model.layer_cost(skeleton, l, option, std::nullopt);
+      const LayerCost cost = model.layer_cost(
+          skeleton, l, option, std::nullopt, model.internal_bandwidth(skeleton));
       if (worst == nullptr || cost.total() > worst_t) {
         worst = &option;
         worst_t = cost.total();
