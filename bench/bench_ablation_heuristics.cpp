@@ -8,18 +8,21 @@
 namespace mars::bench {
 namespace {
 
-int generations_to_95_percent(const ga::GaResult& result) {
-  if (result.history.empty()) return 0;
-  const double target = result.history.back() * 1.05;
-  for (std::size_t g = 0; g < result.history.size(); ++g) {
-    if (result.history[g] <= target) return static_cast<int>(g);
+int generations_to_95_percent(const std::vector<double>& history) {
+  if (history.empty()) return 0;
+  const double target = history.back() * 1.05;
+  for (std::size_t g = 0; g < history.size(); ++g) {
+    if (history[g] <= target) return static_cast<int>(g);
   }
-  return static_cast<int>(result.history.size()) - 1;
+  return static_cast<int>(history.size()) - 1;
 }
 
 void run(const Options& options) {
   std::cout << "=== Ablation A3: search heuristics (vgg16 on F1) ===\n";
-  const auto bundle = f1_bundle("vgg16");
+  const topology::Topology topo = topology::f1_16xlarge();
+  const accel::DesignRegistry designs = accel::table2_designs();
+  const plan::Planner planner =
+      plan::Planner::for_model("vgg16", topo, designs);
 
   struct Variant {
     const char* label;
@@ -47,15 +50,15 @@ void run(const Options& options) {
     config.profiled_init = v.profiled_init;
     config.seed_baseline = v.seed_baseline;
     config.heuristic_candidates = v.heuristic_candidates;
-    core::Mars mars(bundle->problem, config);
-    const core::MarsResult result = mars.search();
+    const plan::PlanResult result = planner.plan(plan::GaEngine(config));
+    const int generations = generations_to_95_percent(result.history);
     table.add_row({v.label,
                    format_double(result.summary.simulated.millis(), 3),
-                   std::to_string(generations_to_95_percent(result.first_level)),
-                   std::to_string(result.first_level.evaluations)});
+                   std::to_string(generations),
+                   std::to_string(result.provenance.evaluations)});
     csv_rows.push_back({v.label,
                         format_double(result.summary.simulated.millis(), 4),
-                        std::to_string(generations_to_95_percent(result.first_level))});
+                        std::to_string(generations)});
   }
   std::cout << table
             << "(the heuristics buy faster convergence and/or better final "

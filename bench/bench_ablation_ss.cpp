@@ -12,17 +12,18 @@ void run(const Options& options) {
                "Footprint ES+SS", "Footprint ES-only"});
   std::vector<std::vector<std::string>> csv_rows;
 
+  core::MarsConfig no_ss = mars_config(options);
+  no_ss.second.enable_ss = false;
+  const plan::GaEngine with_ss_engine(mars_config(options));
+  const plan::GaEngine no_ss_engine(no_ss);
+
+  const topology::Topology topo = topology::f1_16xlarge();
+  const accel::DesignRegistry designs = accel::table2_designs();
   for (const char* model : {"vgg16", "resnet34", "wrn50_2"}) {
-    const auto bundle = f1_bundle(model);
-
-    core::MarsConfig with_ss = mars_config(options);
-    core::Mars mars_ss(bundle->problem, with_ss);
-    const core::MarsResult r_ss = mars_ss.search();
-
-    core::MarsConfig no_ss = mars_config(options);
-    no_ss.second.enable_ss = false;
-    core::Mars mars_es(bundle->problem, no_ss);
-    const core::MarsResult r_es = mars_es.search();
+    const plan::Planner planner =
+        plan::Planner::for_model(model, topo, designs);
+    const plan::PlanResult r_ss = planner.plan(with_ss_engine);
+    const plan::PlanResult r_es = planner.plan(no_ss_engine);
 
     table.add_row(
         {model, format_double(r_ss.summary.simulated.millis(), 3),
@@ -40,16 +41,12 @@ void run(const Options& options) {
 
   // SS's memory role sharpens under tight DRAM (Section IV's motivation).
   std::cout << "\nTight-DRAM variant (48 MiB per accelerator, vgg16):\n";
-  Bundle tight(graph::models::by_name("vgg16"),
-               topology::f1_16xlarge(gbps(8.0), gbps(2.0), mebibytes(48.0)),
-               accel::table2_designs(), true);
-  core::MarsConfig with_ss = mars_config(options);
-  core::Mars mars_ss(tight.problem, with_ss);
-  const core::MarsResult r_ss = mars_ss.search();
-  core::MarsConfig no_ss = mars_config(options);
-  no_ss.second.enable_ss = false;
-  core::Mars mars_es(tight.problem, no_ss);
-  const core::MarsResult r_es = mars_es.search();
+  const topology::Topology tight =
+      topology::f1_16xlarge(gbps(8.0), gbps(2.0), mebibytes(48.0));
+  const plan::Planner planner =
+      plan::Planner::for_model("vgg16", tight, designs);
+  const plan::PlanResult r_ss = planner.plan(with_ss_engine);
+  const plan::PlanResult r_es = planner.plan(no_ss_engine);
   std::cout << "  ES+SS:   " << format_double(r_ss.summary.simulated.millis(), 3)
             << " ms, memory_ok=" << (r_ss.summary.memory_ok ? "yes" : "NO")
             << ", worst set "

@@ -13,19 +13,20 @@ void run(const Options& options) {
   Table table({"Model", "Two-level /ms", "Flat /ms", "Flat vs two-level"});
   std::vector<std::vector<std::string>> csv_rows;
 
+  core::MarsConfig flat = mars_config(options);
+  flat.two_level = false;
+  // The flat genome is much larger; give it the same generation budget
+  // (the paper's point is that budget alone does not rescue it).
+  const plan::GaEngine two_level_engine(mars_config(options));
+  const plan::GaEngine flat_engine(flat);
+
+  const topology::Topology topo = topology::f1_16xlarge();
+  const accel::DesignRegistry designs = accel::table2_designs();
   for (const char* model : {"alexnet", "vgg16", "resnet34"}) {
-    const auto bundle = f1_bundle(model);
-
-    core::MarsConfig two = mars_config(options);
-    core::Mars mars_two(bundle->problem, two);
-    const Seconds two_level = mars_two.search().summary.simulated;
-
-    core::MarsConfig flat = mars_config(options);
-    flat.two_level = false;
-    // The flat genome is much larger; give it the same generation budget
-    // (the paper's point is that budget alone does not rescue it).
-    core::Mars mars_flat(bundle->problem, flat);
-    const Seconds flat_latency = mars_flat.search().summary.simulated;
+    const plan::Planner planner =
+        plan::Planner::for_model(model, topo, designs);
+    const Seconds two_level = planner.plan(two_level_engine).summary.simulated;
+    const Seconds flat_latency = planner.plan(flat_engine).summary.simulated;
 
     table.add_row({model, format_double(two_level.millis(), 3),
                    format_double(flat_latency.millis(), 3),

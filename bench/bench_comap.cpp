@@ -213,12 +213,11 @@ int run_smoke(const Options& options) {
 }  // namespace mars::bench
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") smoke = true;
+  const mars::bench::Options options =
+      mars::bench::parse_options(argc, argv, {"--smoke"});
+  if (options.switches.contains("--smoke")) {
+    return mars::bench::run_smoke(options);
   }
-  const mars::bench::Options options = mars::bench::parse_options(argc, argv);
-  if (smoke) return mars::bench::run_smoke(options);
   mars::bench::run_sweep(options);
   return 0;
 }

@@ -1,12 +1,15 @@
 // Shared plumbing for the experiment harnesses: budget presets, CLI flags
-// (--quick for smoke runs, --csv to emit machine-readable results, --seed),
-// and problem-bundle construction.
+// (--quick for smoke runs, --csv to emit machine-readable results, --seed,
+// plus each bench's own switches), and GA searches with their memo counts.
 #pragma once
 
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,7 +19,9 @@
 #include "mars/core/h2h.h"
 #include "mars/core/mars.h"
 #include "mars/graph/models/models.h"
+#include "mars/obs/metrics.h"
 #include "mars/plan/engines.h"
+#include "mars/plan/planner.h"
 #include "mars/topology/presets.h"
 #include "mars/util/csv.h"
 #include "mars/util/strings.h"
@@ -28,22 +33,48 @@ struct Options {
   bool quick = false;
   std::optional<std::string> csv_path;
   std::uint64_t seed = 1;
+  /// The bench's own switches (parse_options' `switches`) that were given.
+  std::set<std::string> switches;
 };
 
-inline Options parse_options(int argc, char** argv) {
+/// Parses the shared flags plus `switches`, the bench's own valueless
+/// flags (e.g. "--smoke"). --help prints the usage line and exits 0. An
+/// unknown flag, a missing --csv path or a --seed that is not a whole
+/// decimal uint64 prints the error and the usage line and exits 1.
+inline Options parse_options(int argc, char** argv,
+                             const std::vector<std::string>& switches = {}) {
+  std::string usage = std::string("usage: ") + argv[0] +
+                      " [--quick] [--csv <path>] [--seed <n>]";
+  for (const std::string& name : switches) usage += " [" + name + "]";
+  const auto fail = [&](const std::string& message) {
+    std::cerr << "error: " << message << '\n' << usage << '\n';
+    std::exit(1);
+  };
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const bool has_value =
+        i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
     if (arg == "--quick") {
       options.quick = true;
-    } else if (arg == "--csv" && i + 1 < argc) {
+    } else if (arg == "--csv") {
+      if (!has_value) fail("--csv needs a file path");
       options.csv_path = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      options.seed = std::stoull(argv[++i]);
+    } else if (arg == "--seed") {
+      const std::string text = has_value ? argv[++i] : "";
+      const std::optional<std::uint64_t> seed = parse_u64(text);
+      if (!seed) {
+        fail("--seed needs a non-negative integer, got '" + text + "'");
+      }
+      options.seed = *seed;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--quick] [--csv <path>] [--seed <n>]\n";
+      std::cout << usage << '\n';
       std::exit(0);
+    } else if (std::find(switches.begin(), switches.end(), arg) !=
+               switches.end()) {
+      options.switches.insert(arg);
+    } else {
+      fail("unknown flag '" + arg + "'");
     }
   }
   return options;
@@ -79,38 +110,25 @@ inline std::unique_ptr<plan::SearchEngine> bench_engine(
   return plan::make_engine(name, mars_config(options));
 }
 
-/// Everything one experiment needs, with stable storage.
-struct Bundle {
-  graph::Graph model;
-  graph::ConvSpine spine;
-  topology::Topology topo;
-  accel::DesignRegistry designs;
-  core::Problem problem;
-
-  Bundle(graph::Graph m, topology::Topology t, accel::DesignRegistry d,
-         bool adaptive)
-      : model(std::move(m)),
-        spine(graph::ConvSpine::extract(model)),
-        topo(std::move(t)),
-        designs(std::move(d)) {
-    problem.spine = &spine;
-    problem.topo = &topo;
-    problem.designs = &designs;
-    problem.adaptive = adaptive;
-  }
+/// A GA search plus the second-level memo counters it flushed
+/// (`search.space.memo.hits` / `.misses`).
+struct GaSearch {
+  plan::PlanResult result;
+  long long memo_hits = 0;
+  long long memo_misses = 0;
 };
 
-inline std::unique_ptr<Bundle> f1_bundle(const std::string& model_name) {
-  return std::make_unique<Bundle>(graph::models::by_name(model_name),
-                                  topology::f1_16xlarge(),
-                                  accel::table2_designs(), /*adaptive=*/true);
-}
-
-inline std::unique_ptr<Bundle> h2h_bundle(const std::string& model_name,
-                                          Bandwidth bw) {
-  return std::make_unique<Bundle>(graph::models::by_name(model_name),
-                                  topology::h2h_cloud(8, bw, 4),
-                                  accel::h2h_designs(), /*adaptive=*/false);
+/// Runs plan::GaEngine(config) on `planner` with a metrics registry
+/// installed for the search, and reads the memo counters from it.
+inline GaSearch ga_search(const plan::Planner& planner,
+                          const core::MarsConfig& config) {
+  obs::MetricsRegistry registry;
+  obs::MetricsRegistry* previous = obs::install_metrics(&registry);
+  GaSearch search{planner.plan(plan::GaEngine(config))};
+  obs::install_metrics(previous);
+  search.memo_hits = registry.counter_value("search.space.memo.hits");
+  search.memo_misses = registry.counter_value("search.space.memo.misses");
+  return search;
 }
 
 inline void maybe_write_csv(const Options& options,

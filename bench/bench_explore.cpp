@@ -343,10 +343,10 @@ int run_smoke(const Options& options) {
 }  // namespace mars::bench
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      return mars::bench::run_smoke(mars::bench::parse_options(argc, argv));
-    }
+  const mars::bench::Options options =
+      mars::bench::parse_options(argc, argv, {"--smoke"});
+  if (options.switches.contains("--smoke")) {
+    return mars::bench::run_smoke(options);
   }
-  return mars::bench::run_experiment(mars::bench::parse_options(argc, argv));
+  return mars::bench::run_experiment(options);
 }

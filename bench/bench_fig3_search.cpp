@@ -11,24 +11,27 @@ namespace {
 
 void run(const Options& options) {
   std::cout << "=== Fig. 3: two-level GA convergence (vgg16 on F1) ===\n";
-  const auto bundle = f1_bundle("vgg16");
+  const topology::Topology topo = topology::f1_16xlarge();
+  const accel::DesignRegistry designs = accel::table2_designs();
+  const plan::Planner planner =
+      plan::Planner::for_model("vgg16", topo, designs);
 
   core::MarsConfig config = mars_config(options);
   config.first_ga.stall_generations = 0;  // full curve
-  core::Mars mars(bundle->problem, config);
-  const core::MarsResult result = mars.search();
+  const GaSearch search = ga_search(planner, config);
+  const plan::PlanResult& result = search.result;
 
   Table first({"Generation", "Best overall latency /ms"});
   std::vector<std::vector<std::string>> csv_rows;
-  for (std::size_t g = 0; g < result.first_level.history.size(); ++g) {
-    first.add_row({std::to_string(g),
-                   format_double(result.first_level.history[g] * 1e3, 3)});
-    csv_rows.push_back({"first", std::to_string(g),
-                        format_double(result.first_level.history[g] * 1e3, 4)});
+  for (std::size_t g = 0; g < result.history.size(); ++g) {
+    first.add_row(
+        {std::to_string(g), format_double(result.history[g] * 1e3, 3)});
+    csv_rows.push_back(
+        {"first", std::to_string(g), format_double(result.history[g] * 1e3, 4)});
   }
-  std::cout << "First level (" << result.first_level.evaluations
-            << " evaluations, " << result.second_level_misses
-            << " distinct sub-problems, " << result.second_level_hits
+  std::cout << "First level (" << result.provenance.evaluations
+            << " evaluations, " << search.memo_misses
+            << " distinct sub-problems, " << search.memo_hits
             << " cache hits):\n"
             << first;
 
@@ -39,7 +42,7 @@ void run(const Options& options) {
   }
   core::LayerAssignment skeleton = *largest;
   skeleton.strategies.clear();
-  core::SecondLevelSearch second(bundle->problem, config.second);
+  core::SecondLevelSearch second(planner.problem(), config.second);
   Rng rng(options.seed + 1);
   ga::GaResult curve;
   (void)second.refine(skeleton, rng, nullptr, &curve);
@@ -58,8 +61,7 @@ void run(const Options& options) {
 
   std::cout << "\nFinal mapping ("
             << format_double(result.summary.simulated.millis(), 3) << " ms):\n"
-            << core::describe(result.mapping, bundle->spine, bundle->designs,
-                              true);
+            << core::describe(result.mapping, planner.spine(), designs, true);
   maybe_write_csv(options, {"level", "generation", "best_ms"}, csv_rows);
 }
 

@@ -11,12 +11,11 @@
 namespace mars::bench {
 namespace {
 
-core::Mapping balanced_two_set(const Bundle& bundle,
+core::Mapping balanced_two_set(const plan::Planner& planner,
                                const core::SecondLevelSearch& search) {
   // Two groups, layer split balancing profiled compute.
-  const accel::ProfileMatrix profile(bundle.designs, bundle.spine);
   const core::Skeleton skeleton =
-      core::baseline_skeleton(bundle.problem, profile);
+      core::baseline_skeleton(planner.problem(), planner.profile());
   core::Mapping mapping;
   for (const core::LayerAssignment& set : skeleton.sets) {
     core::LayerAssignment full = set;
@@ -29,14 +28,17 @@ core::Mapping balanced_two_set(const Bundle& bundle,
 void run(const Options& options) {
   std::cout << "=== P1 (extension): pipelined throughput across accelerator "
                "sets (resnet34 on F1) ===\n";
-  const auto bundle = f1_bundle("resnet34");
-  const core::SecondLevelSearch search(bundle->problem,
+  const topology::Topology topo = topology::f1_16xlarge();
+  const accel::DesignRegistry designs = accel::table2_designs();
+  const plan::Planner planner =
+      plan::Planner::for_model("resnet34", topo, designs);
+  const core::SecondLevelSearch search(planner.problem(),
                                        core::SecondLevelConfig{});
-  const core::MappingEvaluator evaluator(bundle->problem);
+  const core::MappingEvaluator evaluator(planner.problem());
 
-  core::Mars mars(bundle->problem, mars_config(options));
-  const core::Mapping latency_best = mars.search().mapping;
-  const core::Mapping two_set = balanced_two_set(*bundle, search);
+  const core::Mapping latency_best =
+      planner.plan(plan::GaEngine(mars_config(options))).mapping;
+  const core::Mapping two_set = balanced_two_set(planner, search);
 
   Table table({"Batch", "MARS-latency mapping img/s", "Two-set pipeline img/s",
                "Two-set speedup", "Two-set pipeline overlap"});

@@ -13,14 +13,17 @@ void run(const Options& options) {
   std::cout << "=== P2 (extension): scaling resnet34 across system sizes ===\n";
 
   // Single-accelerator reference (best single design, no communication).
-  const auto reference = f1_bundle("resnet34");
-  const accel::ProfileMatrix profile(reference->designs, reference->spine);
+  const accel::DesignRegistry designs = accel::table2_designs();
+  const topology::Topology f1 = topology::f1_16xlarge();
+  const plan::Planner reference =
+      plan::Planner::for_model("resnet34", f1, designs);
+  const accel::ProfileMatrix& profile = reference.profile();
   double best_single_cycles = profile.total_cycles(0);
-  for (accel::DesignId d = 1; d < reference->designs.size(); ++d) {
+  for (accel::DesignId d = 1; d < designs.size(); ++d) {
     best_single_cycles = std::min(best_single_cycles, profile.total_cycles(d));
   }
   const Seconds single =
-      reference->designs.design(0).frequency().time_for(best_single_cycles);
+      designs.design(0).frequency().time_for(best_single_cycles);
   std::cout << "1 accelerator (best single design, compute only): "
             << format_double(single.millis(), 2) << " ms\n";
 
@@ -33,13 +36,13 @@ void run(const Options& options) {
   std::vector<std::vector<std::string>> csv_rows;
   for (const Shape shape : {Shape{1, 2}, Shape{1, 4}, Shape{2, 2}, Shape{2, 4},
                             Shape{2, 8}, Shape{4, 4}}) {
-    Bundle bundle(graph::models::by_name("resnet34"),
-                  topology::grouped(shape.groups, shape.per_group, gbps(8.0),
-                                    gbps(2.0)),
-                  accel::table2_designs(), true);
+    const topology::Topology topo = topology::grouped(
+        shape.groups, shape.per_group, gbps(8.0), gbps(2.0));
+    const plan::Planner planner =
+        plan::Planner::for_model("resnet34", topo, designs);
     const auto t0 = std::chrono::steady_clock::now();
-    core::Mars mars(bundle.problem, mars_config(options));
-    const core::MarsResult result = mars.search();
+    const plan::PlanResult result =
+        planner.plan(plan::GaEngine(mars_config(options)));
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

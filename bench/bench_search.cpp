@@ -204,13 +204,10 @@ void run_threads_grid(const Options& options, bool smoke, bool write_csv) {
 }  // namespace mars::bench
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool threads_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") smoke = true;
-    if (std::string(argv[i]) == "--threads-grid") threads_only = true;
-  }
-  const mars::bench::Options options = mars::bench::parse_options(argc, argv);
+  const mars::bench::Options options =
+      mars::bench::parse_options(argc, argv, {"--smoke", "--threads-grid"});
+  const bool smoke = options.switches.contains("--smoke");
+  const bool threads_only = options.switches.contains("--threads-grid");
   if (!threads_only) mars::bench::run_engine_grid(options, smoke);
   mars::bench::run_threads_grid(options, smoke, /*write_csv=*/threads_only);
   return 0;

@@ -356,18 +356,13 @@ int run_fleet_scale(const Options& options, bool smoke) {
 }  // namespace mars::bench
 
 int main(int argc, char** argv) {
-  bool autoscale = false;
-  bool fleet_scale = false;
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--autoscale") autoscale = true;
-    if (arg == "--fleet-scale") fleet_scale = true;
-    if (arg == "--smoke") smoke = true;
+  const mars::bench::Options options = mars::bench::parse_options(
+      argc, argv, {"--autoscale", "--fleet-scale", "--smoke"});
+  if (options.switches.contains("--fleet-scale")) {
+    return mars::bench::run_fleet_scale(options,
+                                        options.switches.contains("--smoke"));
   }
-  const mars::bench::Options options = mars::bench::parse_options(argc, argv);
-  if (fleet_scale) return mars::bench::run_fleet_scale(options, smoke);
-  if (autoscale) {
+  if (options.switches.contains("--autoscale")) {
     mars::bench::run_autoscale_sweep(options);
     return 0;
   }

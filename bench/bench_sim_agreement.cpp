@@ -11,17 +11,17 @@
 namespace mars::bench {
 namespace {
 
-core::Mapping random_mapping(const Bundle& bundle, Rng& rng) {
-  const int n = bundle.spine.size();
+core::Mapping random_mapping(const plan::Planner& planner, Rng& rng) {
+  const int n = planner.spine().size();
   const std::vector<topology::AccSetCandidate> candidates =
-      topology::accset_candidates(bundle.topo);
+      topology::accset_candidates(planner.topology());
   std::vector<double> priorities;
   priorities.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     priorities.push_back(rng.uniform());
   }
   const std::vector<topology::AccMask> partition =
-      topology::decode_partition(bundle.topo, candidates, priorities);
+      topology::decode_partition(planner.topology(), candidates, priorities);
 
   // Random contiguous allocation over the chosen sets.
   std::vector<int> cuts{0, n};
@@ -34,14 +34,14 @@ core::Mapping random_mapping(const Bundle& bundle, Rng& rng) {
   for (std::size_t i = 0; i < partition.size(); ++i) {
     core::LayerAssignment set;
     set.accs = partition[i];
-    set.design = rng.uniform_int(0, bundle.designs.size() - 1);
+    set.design = rng.uniform_int(0, planner.designs().size() - 1);
     set.begin = cuts[i];
     set.end = cuts[i + 1];
     if (set.begin == set.end) continue;
     const int p = set.num_accs();
     for (int l = set.begin; l < set.end; ++l) {
       const auto options =
-          parallel::enumerate_strategies(bundle.spine.node(l).shape, p, 3);
+          parallel::enumerate_strategies(planner.spine().node(l).shape, p, 3);
       set.strategies.push_back(options[rng.index(options.size())]);
     }
     mapping.sets.push_back(std::move(set));
@@ -49,11 +49,11 @@ core::Mapping random_mapping(const Bundle& bundle, Rng& rng) {
   // Fix coverage gaps caused by duplicate cuts: extend the last set.
   if (mapping.sets.empty() || mapping.sets.back().end != n ||
       mapping.sets.front().begin != 0) {
-    return random_mapping(bundle, rng);
+    return random_mapping(planner, rng);
   }
   for (std::size_t i = 1; i < mapping.sets.size(); ++i) {
     if (mapping.sets[i].begin != mapping.sets[i - 1].end) {
-      return random_mapping(bundle, rng);
+      return random_mapping(planner, rng);
     }
   }
   return mapping;
@@ -66,15 +66,18 @@ void run(const Options& options) {
   std::vector<std::vector<std::string>> csv_rows;
 
   const int samples = options.quick ? 10 : 40;
+  const topology::Topology topo = topology::f1_16xlarge();
+  const accel::DesignRegistry designs = accel::table2_designs();
   for (const char* model : {"alexnet", "vgg16", "resnet34", "casia_surf"}) {
-    const auto bundle = f1_bundle(model);
-    const core::MappingEvaluator evaluator(bundle->problem);
+    const plan::Planner planner =
+        plan::Planner::for_model(model, topo, designs);
+    const core::MappingEvaluator evaluator(planner.problem());
     Rng rng(options.seed + 99);
 
     std::vector<double> errors;
     std::vector<std::pair<double, double>> points;  // (analytic, simulated)
     for (int s = 0; s < samples; ++s) {
-      const core::Mapping mapping = random_mapping(*bundle, rng);
+      const core::Mapping mapping = random_mapping(planner, rng);
       const core::EvaluationSummary summary = evaluator.evaluate(mapping);
       const double a = summary.analytic_makespan.count();
       const double m = summary.simulated.count();

@@ -35,17 +35,19 @@ void run(const Options& options) {
   double reduction_sum = 0.0;
   int rows = 0;
 
+  const topology::Topology topo = topology::f1_16xlarge();
+  const accel::DesignRegistry designs = accel::table2_designs();
   for (const PaperRow& ref : kPaper) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto bundle = f1_bundle(ref.model);
-    const accel::ProfileMatrix profile(bundle->designs, bundle->spine);
+    const plan::Planner planner =
+        plan::Planner::for_model(ref.model, topo, designs);
     const core::Mapping baseline =
-        core::baseline_mapping(bundle->problem, profile);
-    const core::MappingEvaluator evaluator(bundle->problem);
+        core::baseline_mapping(planner.problem(), planner.profile());
+    const core::MappingEvaluator evaluator(planner.problem());
     const Seconds baseline_latency = evaluator.evaluate(baseline).simulated;
 
-    core::Mars mars(bundle->problem, mars_config(options));
-    const core::MarsResult result = mars.search();
+    const GaSearch search = ga_search(planner, mars_config(options));
+    const plan::PlanResult& result = search.result;
     const Seconds mars_latency = result.summary.simulated;
     const auto elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t0)
@@ -55,9 +57,9 @@ void run(const Options& options) {
     reduction_sum += reduction;
     ++rows;
 
-    const core::WorkloadSummary workload = core::summarize(bundle->model);
-    std::string mapping_text = core::describe(result.mapping, bundle->spine,
-                                              bundle->designs, true);
+    const core::WorkloadSummary workload = core::summarize(planner.model());
+    std::string mapping_text =
+        core::describe(result.mapping, planner.spine(), designs, true);
     for (char& c : mapping_text) {
       if (c == '\n') c = ' ';
     }
@@ -84,10 +86,9 @@ void run(const Options& options) {
               << signed_percent(reduction, 1) << ", paper "
               << signed_percent(ref.mars_ms / ref.baseline_ms - 1.0, 1)
               << "), search " << format_double(elapsed, 1) << " s, cache "
-              << result.second_level_hits << "/"
-              << (result.second_level_hits + result.second_level_misses)
-              << "\n"
-              << core::describe(result.mapping, bundle->spine, bundle->designs,
+              << search.memo_hits << "/"
+              << (search.memo_hits + search.memo_misses) << "\n"
+              << core::describe(result.mapping, planner.spine(), designs,
                                 true);
   }
 

@@ -56,18 +56,21 @@ void run(const Options& options) {
                "heterogeneous models (fixed-design 8-FPGA cloud) ===\n";
 
   std::vector<std::vector<std::string>> csv_rows;
+  const accel::DesignRegistry designs = accel::h2h_designs();
+  const plan::GaEngine engine(mars_config(options));
   for (const PaperRef& ref : kPaper) {
     Table table({"Bandwidth", "H2H /ms", "MARS /ms", "Reduction",
                  "Paper (H2H->MARS)", "Spatial-ES share"});
     double reduction_sum = 0.0;
     std::cout << "\n--- " << ref.model << " ---\n";
     for (std::size_t level = 0; level < 5; ++level) {
-      const auto bundle =
-          h2h_bundle(ref.model, gbps(kLevels[level].gbps_value));
+      const topology::Topology topo =
+          topology::h2h_cloud(8, gbps(kLevels[level].gbps_value), 4);
+      const plan::Planner planner = plan::Planner::for_model(
+          ref.model, topo, designs, /*adaptive=*/false);
 
-      const core::H2HResult h2h = core::H2HMapper(bundle->problem).map();
-      core::Mars mars(bundle->problem, mars_config(options));
-      const core::MarsResult result = mars.search();
+      const core::H2HResult h2h = core::H2HMapper(planner.problem()).map();
+      const plan::PlanResult result = planner.plan(engine);
 
       const double reduction =
           result.summary.simulated / h2h.simulated - 1.0;

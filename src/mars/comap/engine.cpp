@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "mars/core/first_level.h"
+#include "mars/core/skeleton_space.h"
 #include "mars/plan/engines.h"
 #include "mars/serve/service.h"
 #include "mars/util/error.h"

@@ -1,26 +1,13 @@
-// MARS: the two-level genetic mapping algorithm (Section V).
-//
-// First level (GaEngine over FirstLevelCodec genomes): accelerator-set
-// partition from the edge-removal candidate family, per-set designs, and
-// contiguous layer allocation. Its fitness evaluates each candidate set
-// with the memoised second-level search and adds inter-set and host I/O
-// costs. Second level: per-layer ES/SS strategies (greedy oracle inside
-// the loop, GA polish on the winner — see second_level.h). The shared
-// search-space machinery (codec, profile, memoised second level) lives in
-// core/skeleton_space.h so other engines (mars::plan) reuse it.
-//
-// Ownership: Mars keeps a non-owning pointer to the Problem, which in turn
-// points (non-owning) at the spine, topology and design registry — the
-// caller keeps all four alive for the lifetime of the Mars object and of
-// any evaluator built from the same Problem. Deterministic under
-// MarsConfig::seed (util/rng.h is the only randomness source). All
-// latencies are Seconds and all sizes Bytes (util/units.h); raw doubles
-// are accelerator cycle counts at the owning design's frequency.
+// MARS search configuration: the knobs of the paper's two-level genetic
+// mapping algorithm (Section V). The algorithm itself is plan::GaEngine
+// (plan/engines.h); plan::make_engine derives every engine's tuning from
+// this struct, and comap and explore configure their inner searches with
+// it.
 #pragma once
 
 #include <cstdint>
 
-#include "mars/core/skeleton_space.h"
+#include "mars/core/second_level.h"
 
 namespace mars::core {
 
@@ -57,35 +44,5 @@ struct MarsConfig {
 /// Throws InvalidArgument (naming the bad field and value) when either GA
 /// level's config cannot drive a search.
 void validate_config(const MarsConfig& config);
-
-struct MarsResult {
-  Mapping mapping;
-  EvaluationSummary summary;
-  ga::GaResult first_level;  // convergence history (Fig. 3 / bench)
-  long long second_level_hits = 0;
-  long long second_level_misses = 0;
-};
-
-class Mars {
- public:
-  Mars(const Problem& problem, MarsConfig config = {});
-
-  /// Runs the full search and returns the best mapping with both cost
-  /// views (analytic + event-driven simulation). `stop` (optional) is
-  /// polled at first-level generation boundaries — budgeted/cancellable
-  /// callers (plan::GaEngine) use it; a stopped search still returns its
-  /// best-so-far mapping.
-  [[nodiscard]] MarsResult search(const ga::StopFn& stop = {});
-
-  [[nodiscard]] const FirstLevelCodec& codec() const { return space_.codec(); }
-  [[nodiscard]] const accel::ProfileMatrix& profile() const {
-    return space_.profile();
-  }
-
- private:
-  const Problem* problem_;
-  MarsConfig config_;
-  SkeletonSpace space_;
-};
 
 }  // namespace mars::core

@@ -8,11 +8,10 @@
 // Mapping. SkeletonSpace owns all of it so search engines reduce to
 // their acceptance rule.
 //
-// Ownership: like Mars, a non-owning pointer to the Problem — the caller
-// keeps the spine/topology/registry alive for this object's lifetime.
-// fitness() memoises per (layer range, AccSet, design), so sharing one
-// SkeletonSpace across a search amortises second-level work exactly as
-// Mars::cache_ used to.
+// Ownership: a non-owning pointer to the Problem — the caller keeps the
+// spine/topology/registry alive for this object's lifetime. fitness()
+// memoises per (layer range, AccSet, design), so sharing one
+// SkeletonSpace across a search amortises second-level work.
 //
 // Parallelism: fitness_batch() prices many skeletons as one
 // util::MemoBatch sweep, fanning the uncached second-level searches across

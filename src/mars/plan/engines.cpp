@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -72,15 +73,15 @@ Provenance leaf_provenance(std::string engine, std::string spec,
   return provenance;
 }
 
-/// Shared tail of the skeleton-sampling engines: complete the winning
-/// skeleton, optionally polish it, and assemble the PlanResult.
-PlanResult finish(core::SkeletonSpace& space, const core::Skeleton& winner,
+/// Shared tail of the skeleton engines: optionally polish the completed
+/// winning mapping, evaluate it, and assemble the PlanResult.
+PlanResult finish(core::SkeletonSpace& space, core::Mapping mapping,
                   bool refine_winner, Rng& rng, std::vector<double> history,
                   Provenance provenance, const BudgetMeter& meter) {
   PlanResult result;
-  result.mapping = space.complete(winner);
-  // Like Mars: a search stopped by its budget returns without the polish
-  // pass, so cancellation and exhausted budgets take effect promptly.
+  result.mapping = std::move(mapping);
+  // A search stopped by its budget returns without the polish pass, so
+  // cancellation and exhausted budgets take effect promptly.
   if (refine_winner && provenance.stopped == StopReason::kCompleted) {
     space.polish(result.mapping, rng);
   }
@@ -117,12 +118,20 @@ PlanResult GaEngine::search(const core::Problem& problem, const Budget& budget,
                             const ProgressFn& progress) const {
   BudgetMeter meter(budget);
   const obs::ScopedWallSpan span("plan", "search ga");
-  core::Mars mars(problem, config_);
+  core::SkeletonSpace space(problem,
+                            {config_.second, config_.heuristic_candidates});
+  const core::FirstLevelCodec& codec = space.codec();
+  Rng rng(config_.seed);
+  const std::vector<double> scores = space.design_scores();
+  // Shared by both GA arrangements; null (the serial path) at threads == 1.
+  const std::unique_ptr<util::WorkerPool> pool = make_pool(config_.threads);
+
   ga::StopFn stop;
   long long last_reported = -1;
   if (!budget.unlimited() || progress || obs::trace() != nullptr) {
-    // Mars re-polls the hook after the GA to decide on the polish pass;
-    // dedupe by evaluation count so callers see each generation once.
+    // The two-level search re-polls the hook after the GA to decide on the
+    // polish pass; dedupe by evaluation count so callers see each
+    // generation once.
     stop = [&](long long evaluations, double best) {
       if (evaluations != last_reported) {
         trace_progress("ga", evaluations, best);
@@ -132,17 +141,105 @@ PlanResult GaEngine::search(const core::Problem& problem, const Budget& budget,
       return meter.exhausted(evaluations);
     };
   }
-  core::MarsResult searched = mars.search(stop);
 
-  PlanResult result;
-  result.mapping = std::move(searched.mapping);
-  result.summary = searched.summary;
-  result.history = std::move(searched.first_level.history);
-  result.provenance =
-      leaf_provenance(name(), spec_string(), searched.first_level.evaluations,
-                      searched.first_level.generations_run, meter.reason());
-  result.provenance.elapsed = meter.elapsed();
-  return result;
+  ga::GaResult searched;
+  core::Mapping mapping;
+  bool refine = false;
+  if (config_.two_level) {
+    ga::GaEngine engine(config_.first_ga, codec.genome_size());
+    std::vector<ga::Genome> seeds;
+    if (config_.seed_baseline) {
+      seeds.push_back(codec.encode(space.baseline(), scores));
+    }
+    if (config_.profiled_init) {
+      const int extra = std::max(1, config_.first_ga.population / 4);
+      for (int i = 0; i < extra; ++i) {
+        seeds.push_back(codec.profiled_random(scores, rng));
+      }
+    }
+    auto fitness = [&](const ga::Genome& genome) {
+      return space.fitness(codec.decode(genome));
+    };
+    // Cohorts always go through the batch/delta pair (pool may be null —
+    // the batch paths run the identical code single-threaded): initial
+    // populations seed SkeletonSpace's per-genome records, offspring
+    // arrive as moves priced incrementally against those records. Both
+    // paths return exactly the serial values, so the search itself is
+    // byte-identical at any thread count.
+    ga::BatchFitnessFn batch = [&](const std::vector<ga::Genome>& genomes) {
+      return space.fitness_batch(genomes, pool.get());
+    };
+    ga::DeltaBatchFitnessFn delta =
+        [&](const std::vector<ga::Genome>& parents,
+            const std::vector<ga::Genome>& children,
+            const std::vector<ga::GenomeDelta>& deltas) {
+          return space.fitness_delta_batch(parents, children, deltas,
+                                           pool.get());
+        };
+    searched = engine.minimize(fitness, rng, seeds, stop, batch, delta);
+    mapping = space.complete(codec.decode(searched.best));
+    // One more poll, so a budget the last generation spent skips polish.
+    if (stop) (void)stop(searched.evaluations, searched.best_fitness);
+    refine = config_.refine_winner;
+  } else {
+    // Flat single-level ablation: one genome decides sets AND strategies.
+    const int skeleton_genes = codec.genome_size();
+    const int strategy_genes =
+        core::SecondLevelSearch::kGenesPerLayer * problem.spine->size();
+    ga::GaEngine engine(config_.first_ga, skeleton_genes + strategy_genes);
+
+    auto decode_flat = [&](const ga::Genome& genome) {
+      const ga::Genome head(genome.begin(), genome.begin() + skeleton_genes);
+      const core::Skeleton skeleton = codec.decode(head);
+      core::Mapping decoded;
+      for (const core::LayerAssignment& set : skeleton.sets) {
+        core::LayerAssignment full = set;
+        for (int l = set.begin; l < set.end; ++l) {
+          const double* genes = genome.data() + skeleton_genes +
+                                static_cast<std::size_t>(l) *
+                                    core::SecondLevelSearch::kGenesPerLayer;
+          full.strategies.push_back(space.second().decode_layer(
+              problem.spine->node(l).shape, set.num_accs(), genes));
+        }
+        decoded.sets.push_back(std::move(full));
+      }
+      return decoded;
+    };
+    const core::AnalyticalCostModel& analytical =
+        space.evaluator().analytical();
+    auto fitness = [&](const ga::Genome& genome) {
+      const core::Mapping decoded = decode_flat(genome);
+      std::vector<Seconds> latencies;
+      latencies.reserve(decoded.sets.size());
+      for (const core::LayerAssignment& set : decoded.sets) {
+        latencies.push_back(analytical.set_cost(set).penalized);
+      }
+      return analytical.aggregate_makespan(decoded.sets, latencies).count();
+    };
+    // Flat fitness touches no shared mutable state (no memo cache), so
+    // the batch is a plain parallel map over the cohort.
+    ga::BatchFitnessFn batch;
+    if (pool) {
+      batch = [&](const std::vector<ga::Genome>& genomes) {
+        std::vector<double> values(genomes.size());
+        pool->parallel_for(genomes.size(),
+                           [&](std::size_t begin, std::size_t end) {
+                             for (std::size_t i = begin; i < end; ++i) {
+                               values[i] = fitness(genomes[i]);
+                             }
+                           });
+        return values;
+      };
+    }
+    // The flat genome carries its own strategies: no polish pass.
+    searched = engine.minimize(fitness, rng, {}, stop, batch);
+    mapping = decode_flat(searched.best);
+  }
+  return finish(space, std::move(mapping), refine, rng,
+                std::move(searched.history),
+                leaf_provenance(name(), spec_string(), searched.evaluations,
+                                searched.generations_run, meter.reason()),
+                meter);
 }
 
 // ---------------------------------------------------------- AnnealingEngine
@@ -329,8 +426,8 @@ PlanResult AnnealingEngine::search(const core::Problem& problem,
     }
   }
 
-  return finish(space, codec.decode(best), config_.refine_winner, master,
-                std::move(history),
+  return finish(space, space.complete(codec.decode(best)),
+                config_.refine_winner, master, std::move(history),
                 leaf_provenance(name(), spec_string(), evaluations, step,
                                 meter.reason()),
                 meter);
@@ -428,8 +525,8 @@ PlanResult RandomEngine::search(const core::Problem& problem,
     }
   }
 
-  return finish(space, codec.decode(best), config_.refine_winner, rng,
-                std::move(history),
+  return finish(space, space.complete(codec.decode(best)),
+                config_.refine_winner, rng, std::move(history),
                 leaf_provenance(name(), spec_string(), evaluations, drawn,
                                 meter.reason()),
                 meter);
@@ -649,20 +746,12 @@ std::unique_ptr<SearchEngine> make_race_engine(
     if (at != std::string::npos) {
       leaf = member.substr(0, at);
       const std::string seed_text = member.substr(at + 1);
-      std::size_t consumed = 0;
-      unsigned long long seed = 0;
-      try {
-        seed = std::stoull(seed_text, &consumed);
-      } catch (const std::exception&) {
-        consumed = 0;
-      }
-      MARS_CHECK_ARG(
-          !seed_text.empty() && consumed == seed_text.size() &&
-              seed_text.find('-') == std::string::npos,
-          "race member seed must be a non-negative integer, got '"
-              << seed_text << "' in member '" << member << "' of '" << spec
-              << "'");
-      member_tuning.seed = static_cast<std::uint64_t>(seed);
+      const std::optional<std::uint64_t> seed = parse_u64(seed_text);
+      MARS_CHECK_ARG(seed.has_value(),
+                     "race member seed must be a non-negative integer, got '"
+                         << seed_text << "' in member '" << member << "' of '"
+                         << spec << "'");
+      member_tuning.seed = *seed;
     }
     std::unique_ptr<SearchEngine> engine = make_leaf_engine(leaf, member_tuning);
     MARS_CHECK_ARG(engine != nullptr,

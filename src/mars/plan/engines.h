@@ -1,7 +1,7 @@
 // The five concrete search engines behind plan::SearchEngine.
 //
-//  * GaEngine       — the paper's two-level genetic search (wraps
-//                     core::Mars; the default and strongest engine).
+//  * GaEngine       — the paper's two-level genetic search (the default
+//                     and strongest engine).
 //  * AnnealingEngine — simulated annealing over the first-level skeleton
 //                     genome, pricing each proposal with the memoised
 //                     second-level greedy search (core::SkeletonSpace).
@@ -31,8 +31,25 @@
 
 namespace mars::plan {
 
-/// Two-level genetic search. Evaluations are first-level genome
-/// evaluations; the budget is polled at generation boundaries.
+/// MARS: the two-level genetic mapping algorithm (Section V).
+///
+/// First level (ga::GaEngine over FirstLevelCodec genomes): accelerator-set
+/// partition from the edge-removal candidate family, per-set designs, and
+/// contiguous layer allocation. Its fitness evaluates each candidate set
+/// with the memoised second-level search and adds inter-set and host I/O
+/// costs. Second level: per-layer ES/SS strategies (greedy oracle inside
+/// the loop, GA polish on the winner — see core/second_level.h). The
+/// search-space machinery (codec, profile, memoised second level) is
+/// core::SkeletonSpace, shared with the other skeleton engines. With
+/// `two_level = false` (ablation A1) one flat genome decides sets, designs
+/// and per-layer strategies instead, priced without the second level.
+///
+/// Evaluations are first-level genome evaluations; the budget is polled at
+/// generation boundaries. The two-level search polls it once more after
+/// the GA to decide on the polish pass (only when a budget, progress
+/// callback or trace recorder is active, as for the generation polls). Deterministic under MarsConfig::seed (util/rng.h is the only
+/// randomness source). The caller keeps the Problem's spine, topology and
+/// registry alive for the search.
 class GaEngine final : public SearchEngine {
  public:
   explicit GaEngine(core::MarsConfig config = {});

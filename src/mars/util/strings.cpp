@@ -1,5 +1,6 @@
 #include "mars/util/strings.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -66,6 +67,14 @@ std::vector<std::string> split(const std::string& text, char sep) {
   }
   out.push_back(current);
   return out;
+}
+
+std::optional<std::uint64_t> parse_u64(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace mars

@@ -1,6 +1,8 @@
 // Small string helpers shared by reports, tables and serialisers.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,5 +27,9 @@ namespace mars {
 
 /// Split on a single character, keeping empty fields.
 [[nodiscard]] std::vector<std::string> split(const std::string& text, char sep);
+
+/// `text` as a decimal uint64 when it is one whole: digits only (no sign,
+/// space or prefix) and at most 2^64 - 1. nullopt otherwise.
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& text);
 
 }  // namespace mars

@@ -5,30 +5,27 @@
 
 #include "mars/core/evaluator.h"
 #include "mars/core/second_level.h"
-#include "mars/graph/models/models.h"
+#include "mars/plan/planner.h"
 #include "mars/topology/presets.h"
 #include "mars/util/rng.h"
 
 namespace mars::core {
 namespace {
 
-struct Bundle {
-  graph::Graph model = graph::models::alexnet();
-  graph::ConvSpine spine = graph::ConvSpine::extract(model);
-  topology::Topology topo = topology::f1_16xlarge();
-  accel::DesignRegistry designs = accel::table2_designs();
-  Problem problem;
-
-  Bundle() {
-    problem.spine = &spine;
-    problem.topo = &topo;
-    problem.designs = &designs;
-    problem.adaptive = true;
-  }
+/// AlexNet on F1 (adaptive); the Planner keeps references to the
+/// topology and registry, which the fixture owns.
+class Agreement : public ::testing::Test {
+ protected:
+  const topology::Topology topo_ = topology::f1_16xlarge();
+  const accel::DesignRegistry designs_ = accel::table2_designs();
+  const plan::Planner planner_ =
+      plan::Planner::for_model("alexnet", topo_, designs_, /*adaptive=*/true);
+  const graph::ConvSpine& spine_ = planner_.spine();
+  const Problem& problem_ = planner_.problem();
 };
 
-Mapping random_mapping(const Bundle& bundle, Rng& rng) {
-  const int n = bundle.spine.size();
+Mapping random_mapping(const plan::Planner& planner, Rng& rng) {
+  const int n = planner.spine().size();
   const int cut = rng.uniform_int(1, n - 1);
   const std::array<topology::AccMask, 3> group1 = {0b0001, 0b0011, 0b1111};
   const std::array<topology::AccMask, 3> group2 = {0b00010000, 0b00110000,
@@ -36,19 +33,19 @@ Mapping random_mapping(const Bundle& bundle, Rng& rng) {
   Mapping mapping;
   LayerAssignment a;
   a.accs = group1[rng.index(3)];
-  a.design = rng.uniform_int(0, bundle.designs.size() - 1);
+  a.design = rng.uniform_int(0, planner.designs().size() - 1);
   a.begin = 0;
   a.end = cut;
   LayerAssignment b;
   b.accs = group2[rng.index(3)];
-  b.design = rng.uniform_int(0, bundle.designs.size() - 1);
+  b.design = rng.uniform_int(0, planner.designs().size() - 1);
   b.begin = cut;
   b.end = n;
   for (LayerAssignment* set : {&a, &b}) {
     const int p = set->num_accs();
     for (int l = set->begin; l < set->end; ++l) {
       const auto options =
-          parallel::enumerate_strategies(bundle.spine.node(l).shape, p, 3);
+          parallel::enumerate_strategies(planner.spine().node(l).shape, p, 3);
       set->strategies.push_back(options[rng.index(options.size())]);
     }
   }
@@ -56,13 +53,12 @@ Mapping random_mapping(const Bundle& bundle, Rng& rng) {
   return mapping;
 }
 
-TEST(Agreement, AnalyticTracksSimulationWithinFactorTwo) {
-  Bundle bundle;
-  const MappingEvaluator evaluator(bundle.problem);
+TEST_F(Agreement, AnalyticTracksSimulationWithinFactorTwo) {
+  const MappingEvaluator evaluator(problem_);
   Rng rng(2024);
   double worst_ratio = 1.0;
   for (int trial = 0; trial < 25; ++trial) {
-    const Mapping mapping = random_mapping(bundle, rng);
+    const Mapping mapping = random_mapping(planner_, rng);
     const EvaluationSummary summary = evaluator.evaluate(mapping);
     const double ratio =
         summary.simulated.count() / summary.analytic_makespan.count();
@@ -74,17 +70,16 @@ TEST(Agreement, AnalyticTracksSimulationWithinFactorTwo) {
   EXPECT_LT(worst_ratio, 2.5);
 }
 
-TEST(Agreement, RankingsMostlyTransfer) {
+TEST_F(Agreement, RankingsMostlyTransfer) {
   // For pairs with a clear analytic gap (>25%), the simulator must agree
   // on the winner.
-  Bundle bundle;
-  const MappingEvaluator evaluator(bundle.problem);
+  const MappingEvaluator evaluator(problem_);
   Rng rng(7);
   int checked = 0;
   int agreed = 0;
   std::vector<EvaluationSummary> summaries;
   for (int i = 0; i < 12; ++i) {
-    summaries.push_back(evaluator.evaluate(random_mapping(bundle, rng)));
+    summaries.push_back(evaluator.evaluate(random_mapping(planner_, rng)));
   }
   for (std::size_t i = 0; i < summaries.size(); ++i) {
     for (std::size_t j = i + 1; j < summaries.size(); ++j) {
@@ -103,26 +98,25 @@ TEST(Agreement, RankingsMostlyTransfer) {
       << agreed << "/" << checked;
 }
 
-TEST(Agreement, GreedySecondLevelChoicesHoldUpInSimulation) {
+TEST_F(Agreement, GreedySecondLevelChoicesHoldUpInSimulation) {
   // The greedy oracle picks per-layer strategies under the analytic model;
   // verify the full simulated latency of its choice beats a deliberately
   // bad choice (worst per-layer strategy).
-  Bundle bundle;
-  const SecondLevelSearch search(bundle.problem, SecondLevelConfig{});
-  const AnalyticalCostModel model(bundle.problem);
+  const SecondLevelSearch search(problem_, SecondLevelConfig{});
+  const AnalyticalCostModel model(problem_);
 
   LayerAssignment skeleton;
   skeleton.accs = 0b1111;
   skeleton.design = 0;
   skeleton.begin = 0;
-  skeleton.end = bundle.spine.size();
+  skeleton.end = spine_.size();
 
   LayerAssignment good = skeleton;
   good.strategies = search.greedy(skeleton).strategies;
   LayerAssignment bad = skeleton;
-  for (int l = 0; l < bundle.spine.size(); ++l) {
+  for (int l = 0; l < spine_.size(); ++l) {
     const auto options =
-        parallel::enumerate_strategies(bundle.spine.node(l).shape, 4, 3);
+        parallel::enumerate_strategies(spine_.node(l).shape, 4, 3);
     const parallel::Strategy* worst = nullptr;
     Seconds worst_t(0.0);
     for (const parallel::Strategy& option : options) {
@@ -140,7 +134,7 @@ TEST(Agreement, GreedySecondLevelChoicesHoldUpInSimulation) {
   good_mapping.sets = {good};
   Mapping bad_mapping;
   bad_mapping.sets = {bad};
-  const MappingEvaluator evaluator(bundle.problem);
+  const MappingEvaluator evaluator(problem_);
   EXPECT_LT(evaluator.evaluate(good_mapping).simulated.count(),
             evaluator.evaluate(bad_mapping).simulated.count());
 }

@@ -6,8 +6,8 @@
 #include "mars/core/baseline.h"
 #include "mars/core/evaluator.h"
 #include "mars/core/h2h.h"
-#include "mars/core/mars.h"
-#include "mars/graph/models/models.h"
+#include "mars/plan/engines.h"
+#include "mars/plan/planner.h"
 #include "mars/topology/presets.h"
 
 namespace mars::core {
@@ -24,39 +24,26 @@ MarsConfig test_budget() {
   return config;
 }
 
-struct ProblemBundle {
-  graph::Graph model;
-  graph::ConvSpine spine;
-  topology::Topology topo;
-  accel::DesignRegistry designs;
-  Problem problem;
-
-  ProblemBundle(const std::string& name, topology::Topology t,
-                accel::DesignRegistry d, bool adaptive)
-      : model(graph::models::by_name(name)),
-        spine(graph::ConvSpine::extract(model)),
-        topo(std::move(t)),
-        designs(std::move(d)) {
-    problem.spine = &spine;
-    problem.topo = &topo;
-    problem.designs = &designs;
-    problem.adaptive = adaptive;
-  }
-};
+/// The GA at test_budget() on `planner`'s problem.
+plan::PlanResult search(const plan::Planner& planner,
+                        const MarsConfig& config = test_budget()) {
+  return planner.plan(plan::GaEngine(config));
+}
 
 class Table3Direction : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(Table3Direction, MarsBeatsBaseline) {
-  ProblemBundle bundle(GetParam(), topology::f1_16xlarge(),
-                       accel::table2_designs(), /*adaptive=*/true);
+  const topology::Topology topo = topology::f1_16xlarge();
+  const accel::DesignRegistry designs = accel::table2_designs();
+  const plan::Planner planner =
+      plan::Planner::for_model(GetParam(), topo, designs, /*adaptive=*/true);
 
-  const accel::ProfileMatrix profile(bundle.designs, bundle.spine);
-  const Mapping baseline = baseline_mapping(bundle.problem, profile);
-  const MappingEvaluator evaluator(bundle.problem);
+  const Mapping baseline =
+      baseline_mapping(planner.problem(), planner.profile());
+  const MappingEvaluator evaluator(planner.problem());
   const Seconds baseline_latency = evaluator.evaluate(baseline).simulated;
 
-  Mars mars(bundle.problem, test_budget());
-  const Seconds mars_latency = mars.search().summary.simulated;
+  const Seconds mars_latency = search(planner).summary.simulated;
 
   // Table III direction: MARS never loses; small budget still finds wins.
   EXPECT_LE(mars_latency.count(), baseline_latency.count() * 1.02)
@@ -70,12 +57,13 @@ INSTANTIATE_TEST_SUITE_P(Models, Table3Direction,
 TEST(Table4Direction, MarsBeatsH2HOnHeterogeneousModels) {
   // Fixed-design cloud at mid bandwidth; MARS's intra-layer parallelism
   // must beat H2H's one-layer-one-accelerator contract (paper: -50..74%).
-  ProblemBundle bundle("casia_surf", topology::h2h_cloud(8, gbps(4.0), 4),
-                       accel::h2h_designs(), /*adaptive=*/false);
+  const topology::Topology topo = topology::h2h_cloud(8, gbps(4.0), 4);
+  const accel::DesignRegistry designs = accel::h2h_designs();
+  const plan::Planner planner = plan::Planner::for_model(
+      "casia_surf", topo, designs, /*adaptive=*/false);
 
-  const Seconds h2h = H2HMapper(bundle.problem).map().simulated;
-  Mars mars(bundle.problem, test_budget());
-  const Seconds ours = mars.search().summary.simulated;
+  const Seconds h2h = H2HMapper(planner.problem()).map().simulated;
+  const Seconds ours = search(planner).summary.simulated;
 
   EXPECT_LT(ours.count(), h2h.count())
       << "MARS " << ours.millis() << " ms vs H2H " << h2h.millis() << " ms";
@@ -84,19 +72,20 @@ TEST(Table4Direction, MarsBeatsH2HOnHeterogeneousModels) {
 TEST(MappingPatterns, WinogradAvoidedForBottleneckHeavyModels) {
   // The paper: design 3 (Winograd) never shows up for ResNet101/WRN-50-2
   // because it cannot handle the 1x1 bottleneck convolutions.
-  ProblemBundle bundle("resnet101", topology::f1_16xlarge(),
-                       accel::table2_designs(), /*adaptive=*/true);
+  const topology::Topology topo = topology::f1_16xlarge();
+  const accel::DesignRegistry designs = accel::table2_designs();
+  const plan::Planner planner =
+      plan::Planner::for_model("resnet101", topo, designs, /*adaptive=*/true);
   MarsConfig config = test_budget();
   config.first_ga.generations = 6;  // keep runtime modest
-  Mars mars(bundle.problem, config);
-  const MarsResult result = mars.search();
+  const plan::PlanResult result = search(planner, config);
 
-  const accel::DesignId winograd = bundle.designs.find("WinogradF43");
+  const accel::DesignId winograd = designs.find("WinogradF43");
   double winograd_macs = 0.0;
   double total_macs = 0.0;
   for (const LayerAssignment& set : result.mapping.sets) {
     for (int l = set.begin; l < set.end; ++l) {
-      const double macs = bundle.spine.node(l).shape.macs();
+      const double macs = planner.spine().node(l).shape.macs();
       total_macs += macs;
       if (set.design == winograd) winograd_macs += macs;
     }
@@ -108,34 +97,28 @@ TEST(MemoryConstraint, TightDramForcesFeasibleMapping) {
   // With only 64 MiB per accelerator, VGG16 (~276 MB of fix16 weights)
   // cannot sit on a 2-accelerator set un-sharded; the search must still
   // return a memory-feasible mapping by spreading/sharding harder.
-  topology::Topology tight = topology::f1_16xlarge(gbps(8.0), gbps(2.0),
-                                                   mebibytes(64.0));
-  ProblemBundle bundle("vgg16", std::move(tight), accel::table2_designs(),
-                       /*adaptive=*/true);
-  Mars mars(bundle.problem, test_budget());
-  const MarsResult result = mars.search();
+  const topology::Topology tight =
+      topology::f1_16xlarge(gbps(8.0), gbps(2.0), mebibytes(64.0));
+  const accel::DesignRegistry designs = accel::table2_designs();
+  const plan::PlanResult result = search(
+      plan::Planner::for_model("vgg16", tight, designs, /*adaptive=*/true));
   EXPECT_TRUE(result.summary.memory_ok)
       << "worst set footprint "
       << result.summary.worst_set_footprint.mib() << " MiB";
 }
 
 TEST(HostBandwidthSensitivity, SlowerHostHurts) {
-  ProblemBundle fast_host("alexnet", topology::f1_16xlarge(gbps(8.0), gbps(4.0)),
-                          accel::table2_designs(), true);
-  ProblemBundle slow_host("alexnet", topology::f1_16xlarge(gbps(8.0), gbps(0.5)),
-                          accel::table2_designs(), true);
-
-  const accel::ProfileMatrix pf(fast_host.designs, fast_host.spine);
-  const accel::ProfileMatrix ps(slow_host.designs, slow_host.spine);
-  const Seconds fast =
-      MappingEvaluator(fast_host.problem)
-          .evaluate(baseline_mapping(fast_host.problem, pf))
-          .simulated;
-  const Seconds slow =
-      MappingEvaluator(slow_host.problem)
-          .evaluate(baseline_mapping(slow_host.problem, ps))
-          .simulated;
-  EXPECT_LT(fast.count(), slow.count());
+  const accel::DesignRegistry designs = accel::table2_designs();
+  auto baseline_latency = [&](Bandwidth host_bw) {
+    const topology::Topology topo = topology::f1_16xlarge(gbps(8.0), host_bw);
+    const plan::Planner planner =
+        plan::Planner::for_model("alexnet", topo, designs, /*adaptive=*/true);
+    return MappingEvaluator(planner.problem())
+        .evaluate(baseline_mapping(planner.problem(), planner.profile()))
+        .simulated;
+  };
+  EXPECT_LT(baseline_latency(gbps(4.0)).count(),
+            baseline_latency(gbps(0.5)).count());
 }
 
 }  // namespace

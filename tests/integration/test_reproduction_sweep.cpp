@@ -8,8 +8,8 @@
 #include "mars/core/baseline.h"
 #include "mars/core/evaluator.h"
 #include "mars/core/h2h.h"
-#include "mars/core/mars.h"
-#include "mars/graph/models/models.h"
+#include "mars/plan/engines.h"
+#include "mars/plan/planner.h"
 #include "mars/topology/presets.h"
 
 namespace mars::core {
@@ -29,18 +29,18 @@ MarsConfig sweep_budget() {
 class Table3Sweep : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(Table3Sweep, MarsNeverLosesToBaseline) {
-  graph::Graph model = graph::models::by_name(GetParam());
-  graph::ConvSpine spine = graph::ConvSpine::extract(model);
-  topology::Topology topo = topology::f1_16xlarge();
-  accel::DesignRegistry designs = accel::table2_designs();
-  Problem problem{&spine, &topo, &designs, true, {}};
+  const topology::Topology topo = topology::f1_16xlarge();
+  const accel::DesignRegistry designs = accel::table2_designs();
+  const plan::Planner planner =
+      plan::Planner::for_model(GetParam(), topo, designs, /*adaptive=*/true);
 
-  const accel::ProfileMatrix profile(designs, spine);
-  const MappingEvaluator evaluator(problem);
+  const MappingEvaluator evaluator(planner.problem());
   const Seconds baseline =
-      evaluator.evaluate(baseline_mapping(problem, profile)).simulated;
-  Mars mars(problem, sweep_budget());
-  const Seconds ours = mars.search().summary.simulated;
+      evaluator
+          .evaluate(baseline_mapping(planner.problem(), planner.profile()))
+          .simulated;
+  const Seconds ours =
+      planner.plan(plan::GaEngine(sweep_budget())).summary.simulated;
   EXPECT_LE(ours.count(), baseline.count() * 1.02)
       << GetParam() << ": MARS " << ours.millis() << " ms vs baseline "
       << baseline.millis() << " ms";
@@ -59,15 +59,14 @@ class Table4Sweep : public ::testing::TestWithParam<Table4Point> {};
 
 TEST_P(Table4Sweep, MarsBeatsH2H) {
   const auto [model_name, bandwidth] = GetParam();
-  graph::Graph model = graph::models::by_name(model_name);
-  graph::ConvSpine spine = graph::ConvSpine::extract(model);
-  topology::Topology topo = topology::h2h_cloud(8, gbps(bandwidth), 4);
-  accel::DesignRegistry designs = accel::h2h_designs();
-  Problem problem{&spine, &topo, &designs, false, {}};
+  const topology::Topology topo = topology::h2h_cloud(8, gbps(bandwidth), 4);
+  const accel::DesignRegistry designs = accel::h2h_designs();
+  const plan::Planner planner =
+      plan::Planner::for_model(model_name, topo, designs, /*adaptive=*/false);
 
-  const Seconds h2h = H2HMapper(problem).map().simulated;
-  Mars mars(problem, sweep_budget());
-  const Seconds ours = mars.search().summary.simulated;
+  const Seconds h2h = H2HMapper(planner.problem()).map().simulated;
+  const Seconds ours =
+      planner.plan(plan::GaEngine(sweep_budget())).summary.simulated;
   EXPECT_LT(ours.count(), h2h.count())
       << model_name << " @ " << bandwidth << " Gb/s: MARS " << ours.millis()
       << " ms vs H2H " << h2h.millis() << " ms";
@@ -89,13 +88,12 @@ TEST(ReproductionSweep, SpatialShardingRisesAsBandwidthFalls) {
   // The paper's low-bandwidth observation, asserted end-to-end: the share
   // of spatial (H/W) ES shards at 1 Gb/s must be >= the share at 10 Gb/s.
   auto spatial_share = [](double bandwidth) {
-    graph::Graph model = graph::models::casia_surf();
-    graph::ConvSpine spine = graph::ConvSpine::extract(model);
-    topology::Topology topo = topology::h2h_cloud(8, gbps(bandwidth), 4);
-    accel::DesignRegistry designs = accel::h2h_designs();
-    Problem problem{&spine, &topo, &designs, false, {}};
-    Mars mars(problem, sweep_budget());
-    const MarsResult result = mars.search();
+    const topology::Topology topo = topology::h2h_cloud(8, gbps(bandwidth), 4);
+    const accel::DesignRegistry designs = accel::h2h_designs();
+    const plan::Planner planner = plan::Planner::for_model(
+        "casia_surf", topo, designs, /*adaptive=*/false);
+    const plan::PlanResult result =
+        planner.plan(plan::GaEngine(sweep_budget()));
     int spatial = 0;
     int total = 0;
     for (const LayerAssignment& set : result.mapping.sets) {

@@ -4,6 +4,7 @@
 
 #include "core/test_support.h"
 #include "mars/core/baseline.h"
+#include "mars/core/evaluator.h"
 
 namespace mars::plan {
 namespace {

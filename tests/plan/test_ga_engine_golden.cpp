@@ -180,7 +180,8 @@ Observed observe(const std::string& problem, const std::string& name,
   }
   obs::MetricsRegistry registry;
   obs::MetricsRegistry* previous = obs::install_metrics(&registry);
-  const PlanResult result = planner.plan(GaEngine(v.config), v.budget, progress);
+  const PlanResult result =
+      planner.plan(GaEngine(v.config), v.budget, progress);
   obs::install_metrics(previous);
 
   observed.evaluations = result.provenance.evaluations;

@@ -53,5 +53,18 @@ TEST(Split, KeepsEmptyFields) {
   EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
 }
 
+TEST(ParseU64, AcceptsWholeDecimalStringsUpToTheMaximum) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("42"), 42u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
+}
+
+TEST(ParseU64, RejectsEverythingElse) {
+  for (const char* text : {"", "abc", "-3", "+1", " 1", "1 ", "1x", "0x10",
+                           "1.0", "18446744073709551616"}) {
+    EXPECT_EQ(parse_u64(text), std::nullopt) << "'" << text << "'";
+  }
+}
+
 }  // namespace
 }  // namespace mars

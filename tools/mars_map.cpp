@@ -165,6 +165,17 @@ int int_option(const Args& args, const std::string& name,
   return truncated;
 }
 
+/// --seed as a whole decimal uint64 (default 1).
+std::uint64_t seed_option(const Args& args) {
+  const std::string text = args.get("seed", "1");
+  const std::optional<std::uint64_t> seed = parse_u64(text);
+  if (!seed) {
+    throw InvalidArgument("--seed needs a non-negative integer, got '" + text +
+                          "'");
+  }
+  return *seed;
+}
+
 /// Per-command observability session: `--trace FILE.json` installs a
 /// TraceRecorder, and a MetricsRegistry is always installed so component
 /// destructors have somewhere to flush their counters. Declare this FIRST
@@ -268,7 +279,7 @@ int thread_count(const Args& args) {
 
 core::MarsConfig make_config(const Args& args) {
   core::MarsConfig config;
-  config.seed = std::stoull(args.get("seed", "1"));
+  config.seed = seed_option(args);
   config.threads = thread_count(args);
   if (args.flag("quick")) {
     config.first_ga.population = 12;
@@ -554,7 +565,7 @@ int cmd_serve(const Args& args) {
   // search budget (--full restores the offline default, --mapper baseline
   // skips the search entirely).
   core::MarsConfig config;
-  config.seed = std::stoull(args.get("seed", "1"));
+  config.seed = seed_option(args);
   config.threads = thread_count(args);
   if (!args.flag("full")) {
     config.first_ga.population = 12;
@@ -577,7 +588,7 @@ int cmd_serve(const Args& args) {
   // admission per tenant; models without one keep the policy's shared slo.
   options.admission.per_model_slo = mix.slos;
   const Seconds duration = Seconds(number_option(args, "duration", "5"));
-  const auto seed = static_cast<std::uint64_t>(int_option(args, "seed", "1"));
+  const std::uint64_t seed = config.seed;
   const Seconds slo = milliseconds(number_option(args, "slo", "100"));
   const double rate = number_option(args, "rate", "100");
   const int clients = int_option(args, "clients", "8");
@@ -744,13 +755,13 @@ int cmd_comap(const Args& args) {
   }
   problem.rollout.rate = rate;
   problem.rollout.duration = milliseconds(rollout_ms);
-  problem.rollout.seed = std::stoull(args.get("seed", "1"));
+  problem.rollout.seed = seed_option(args);
   problem.rollout.policy = serve::PolicySpec::parse(args.get("policy", "none"));
   problem.rollout.default_slo = milliseconds(slo_ms);
 
   comap::CoMapConfig config;
   config.encoding = comap::parse_encoding(args.get("encoding", "partition"));
-  config.seed = std::stoull(args.get("seed", "1"));
+  config.seed = problem.rollout.seed;
   config.threads = thread_count(args);
   // Rollouts dominate: the inner per-tenant searches default to the quick
   // serving schedule (--full restores the offline default), and --quick
@@ -906,7 +917,7 @@ int cmd_explore(const Args& args) {
   config.search_evaluations = search_evals;
   config.population = int_option(args, "population", "12");
   config.generations = int_option(args, "generations", "6");
-  config.seed = std::stoull(args.get("seed", "1"));
+  config.seed = seed_option(args);
   config.threads = thread_count(args);
   const int front_size = int_option(args, "front-size", "0");
   if (front_size < 0) {
@@ -1029,7 +1040,7 @@ int cmd_warm(const Args& args) {
   const accel::DesignRegistry designs =
       args.flag("fixed") ? accel::h2h_designs() : accel::table2_designs();
   core::MarsConfig config;
-  config.seed = std::stoull(args.get("seed", "1"));
+  config.seed = seed_option(args);
   config.threads = thread_count(args);
   if (!args.flag("full")) {
     config.first_ga.population = 12;
