@@ -153,6 +153,29 @@ TEST_F(GaEngineTest, FixedDesignModeSearches) {
   EXPECT_GT(result.summary.simulated.count(), 0.0);
 }
 
+TEST(GaEngine, BudgetStoppedSearchSkipsThePolishPass) {
+  // A search its budget stopped returns the completed winner unpolished:
+  // exactly what the same search with refine_winner off returns. ResNet-34
+  // is a problem where the polish pass changes the result.
+  const AdaptiveFixture fx("resnet34");
+  core::MarsConfig unpolished_config = fast_config();
+  unpolished_config.refine_winner = false;
+  // Stops after the initial population, before the polish pass.
+  const Budget budget = Budget::evaluations(12);
+  const PlanResult stopped = GaEngine(fast_config()).search(fx.problem, budget);
+  const PlanResult unpolished =
+      GaEngine(unpolished_config).search(fx.problem, budget);
+  EXPECT_EQ(stopped.provenance.stopped, StopReason::kEvaluationBudget);
+  expect_same_mapping(stopped.mapping, unpolished.mapping);
+  expect_same_summary(stopped.summary, unpolished.summary);
+
+  // Unstopped, the same pair differs by the polish pass.
+  const PlanResult polished = GaEngine(fast_config()).search(fx.problem);
+  const PlanResult plain = GaEngine(unpolished_config).search(fx.problem);
+  EXPECT_LT(polished.summary.analytic_makespan.count(),
+            plain.summary.analytic_makespan.count());
+}
+
 TEST_F(GaEngineTest, ThreadedSearchIsByteIdenticalToSerial) {
   // `threads` is an execution knob, not a search knob: the whole result —
   // mapping, history, evaluation and memo counters — must match the
