@@ -109,6 +109,36 @@ long long MetricsRegistry::counter_value(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second->value();
 }
 
+void MetricsRegistry::ratio(const std::string& name,
+                            const std::string& numerator,
+                            const std::string& denominator) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ratios_.try_emplace(name, numerator, denominator);
+}
+
+std::vector<std::pair<std::string, double>> MetricsRegistry::ratio_values()
+    const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::pair<std::string, double>> out;
+  out.reserve(ratios_.size());
+  for (const auto& [name, parts] : ratios_) {
+    out.emplace_back(name, ratio_value(parts));
+  }
+  return out;
+}
+
+double MetricsRegistry::ratio_value(
+    const std::pair<std::string, std::string>& parts) const {
+  const auto value = [&](const std::string& name) {
+    const auto it = counters_.find(name);
+    return it == counters_.end() ? 0LL : it->second->value();
+  };
+  const long long denominator = value(parts.second);
+  if (denominator == 0) return 0.0;
+  return static_cast<double>(value(parts.first)) /
+         static_cast<double>(denominator);
+}
+
 void MetricsRegistry::flush_to(MetricsRegistry& target) {
   // Lock only this registry here; target.counter() takes the target's own
   // mutex. flush_to is never called in both directions concurrently (flushes
@@ -122,6 +152,9 @@ void MetricsRegistry::flush_to(MetricsRegistry& target) {
   }
   for (const auto& [name, gauge] : gauges_) {
     target.gauge(name).set(gauge->value());
+  }
+  for (const auto& [name, parts] : ratios_) {
+    target.ratio(name, parts.first, parts.second);
   }
   for (const auto& [name, histogram] : histograms_) {
     Histogram& dest = target.histogram(name);
@@ -157,9 +190,15 @@ JsonValue MetricsRegistry::to_json() const {
   for (const auto& [name, counter] : counters_) {
     counters.set(name, JsonValue::integer(counter->value()));
   }
+  // Ratios export among the gauges, in one name order.
+  std::map<std::string, double> gauge_values;
+  for (const auto& [name, gauge] : gauges_) gauge_values[name] = gauge->value();
+  for (const auto& [name, parts] : ratios_) {
+    gauge_values.try_emplace(name, ratio_value(parts));
+  }
   JsonValue gauges = JsonValue::object();
-  for (const auto& [name, gauge] : gauges_) {
-    gauges.set(name, JsonValue::number(gauge->value()));
+  for (const auto& [name, value] : gauge_values) {
+    gauges.set(name, JsonValue::number(value));
   }
   JsonValue histograms = JsonValue::object();
   for (const auto& [name, histogram] : histograms_) {

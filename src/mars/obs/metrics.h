@@ -102,11 +102,22 @@ class MetricsRegistry {
   /// Value of one counter (0 when absent; does not create it).
   [[nodiscard]] long long counter_value(const std::string& name) const;
 
+  /// Declares `name` as the ratio of counter `numerator` to counter
+  /// `denominator`. It is worked out when the registry is read (here and
+  /// among to_json's gauges), so it stays exact however many threads add
+  /// into the counters; 0 while the denominator is. Declaring a name again
+  /// changes nothing.
+  void ratio(const std::string& name, const std::string& numerator,
+             const std::string& denominator);
+  /// All declared ratios as (name, value), sorted by name.
+  [[nodiscard]] std::vector<std::pair<std::string, double>> ratio_values()
+      const;
+
   /// Adds everything recorded since the last flush into `target` (counters
-  /// and histograms add deltas; gauges overwrite). Safe to call repeatedly;
-  /// a second flush with no new activity adds nothing. Component
-  /// destructors use this to fold instance metrics into the installed
-  /// global registry.
+  /// and histograms add deltas; gauges overwrite; ratios are declared).
+  /// Safe to call repeatedly; a second flush with no new activity adds
+  /// nothing. Component destructors use this to fold instance metrics into
+  /// the installed global registry.
   void flush_to(MetricsRegistry& target);
 
   /// {"counters":{...},"gauges":{...},"histograms":{...}} with keys sorted
@@ -118,6 +129,12 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  // name -> (numerator, denominator) counter names
+  std::map<std::string, std::pair<std::string, std::string>> ratios_;
+
+  /// A declared ratio's value; the caller holds mutex_.
+  [[nodiscard]] double ratio_value(
+      const std::pair<std::string, std::string>& parts) const;
 };
 
 /// Installs the process-wide registry (nullptr to uninstall) and returns

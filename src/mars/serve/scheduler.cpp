@@ -110,20 +110,22 @@ class Session : public sim::NoHooks {
       batches_total_ = &registry->counter("serve.batches.dispatched");
       tasks_total_ = &registry->counter("serve.tasks.executed");
       events_total_ = &registry->counter("sim.events");
+      sim_tasks_total_ = &registry->counter("sim.tasks");
+      registry->ratio("sim.events_per_task", "sim.events", "sim.tasks");
       latency_hist_ = &registry->histogram("serve.latency_seconds");
     }
   }
 
   /// Pre-sizes the run for a stream of `arrivals` requests: the event
-  /// heap (every open-loop arrival is enqueued up front) and the result
+  /// queue (every open-loop arrival is enqueued up front) and the result
   /// vectors. One fixed allocation each, so steady-state dispatch stays
   /// heap-silent. A parked task holds no event, so besides the arrivals
-  /// the heap holds only ready tasks' try events, one completion per
+  /// the queue holds only ready tasks' try events, one completion per
   /// running task and one wake per busy resource with waiters — all
   /// bounded by the tasks of the live instances. The slack covers every
   /// task of up to 16 live instances per model, which is a bound under
   /// bounded admission (shed:N, N <= 16); deeper configurations regrow
-  /// the heap amortised. The wait queues' record pools are not pre-sized:
+  /// the queue amortised. The wait queues' record pools are not pre-sized:
   /// they grow to the peak number of parked tasks and are reused after.
   void reserve(std::size_t arrivals) {
     std::size_t task_slack = 64;
@@ -166,7 +168,10 @@ class Session : public sim::NoHooks {
     result_.tasks_executed = engine_.tasks_executed();
     result_.events = engine_.events();
     if (tasks_total_ != nullptr) tasks_total_->add(result_.tasks_executed);
-    if (events_total_ != nullptr) events_total_->add(result_.events);
+    if (events_total_ != nullptr) {
+      events_total_->add(result_.events);
+      sim_tasks_total_->add(result_.tasks_executed);
+    }
     MARS_CHECK(admitted_ == static_cast<long long>(result_.completed.size()),
                "serving deadlock: "
                    << admitted_ -
@@ -430,6 +435,7 @@ class Session : public sim::NoHooks {
   obs::Counter* batches_total_ = nullptr;
   obs::Counter* tasks_total_ = nullptr;
   obs::Counter* events_total_ = nullptr;
+  obs::Counter* sim_tasks_total_ = nullptr;
   obs::Histogram* latency_hist_ = nullptr;
 
   ServeResult result_;

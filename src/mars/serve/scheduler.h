@@ -90,8 +90,9 @@ struct ServeResult {
   long long tasks_executed = 0;
   int batches_dispatched = 0;
   /// Events the loop popped (work, not simulated time; also added to the
-  /// `sim.events` registry counter once per non-quiet run). A sharded
-  /// run sums its shards.
+  /// `sim.events` registry counter once per non-quiet run, and
+  /// tasks_executed to `sim.tasks`: their ratio is `sim.events_per_task`).
+  /// A sharded run sums its shards.
   long long events = 0;
 
   /// Arrivals seen by admission control (completed + rejected).

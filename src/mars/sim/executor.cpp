@@ -49,6 +49,8 @@ ExecutionResult Executor::run(const FlatTaskGraph& graph) const {
   result.events = engine.events();
   if (obs::MetricsRegistry* registry = obs::metrics()) {
     registry->counter("sim.events").add(result.events);
+    registry->counter("sim.tasks").add(engine.tasks_executed());
+    registry->ratio("sim.events_per_task", "sim.events", "sim.tasks");
   }
   return result;
 }

@@ -25,7 +25,8 @@ struct ExecutionResult {
   std::vector<Seconds> acc_busy;
 
   /// Events the loop popped (work, not simulated time; also added to the
-  /// `sim.events` registry counter once per run).
+  /// `sim.events` registry counter once per run, and the tasks run to
+  /// `sim.tasks`: their ratio is `sim.events_per_task`).
   long long events = 0;
 };
 

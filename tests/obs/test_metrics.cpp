@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mars/obs/metrics.h"
@@ -143,6 +145,34 @@ TEST(MetricsRegistryTest, ToJsonExportRoundTrips) {
       parsed.get("histograms").get("serve.latency_seconds");
   EXPECT_EQ(hist.get("count").as_integer(), 1);
   EXPECT_DOUBLE_EQ(hist.get("sum").as_number(), 0.75);
+}
+
+TEST(MetricsRegistryTest, RatiosDivideTheirCountersWhenRead) {
+  MetricsRegistry registry;
+  registry.ratio("sim.events_per_task", "sim.events", "sim.tasks");
+  registry.ratio("sim.events_per_task", "other", "names");  // no effect
+  using Values = std::vector<std::pair<std::string, double>>;
+  EXPECT_EQ(registry.ratio_values(), (Values{{"sim.events_per_task", 0.0}}));
+
+  registry.counter("sim.events").add(7);
+  registry.counter("sim.tasks").add(2);
+  EXPECT_EQ(registry.ratio_values(), (Values{{"sim.events_per_task", 3.5}}));
+  registry.counter("sim.tasks").add(2);
+  EXPECT_EQ(registry.ratio_values(), (Values{{"sim.events_per_task", 1.75}}));
+
+  // Exported among the gauges, in name order with them.
+  registry.gauge("a.gauge").set(1.0);
+  registry.gauge("z.gauge").set(2.0);
+  const JsonValue parsed = JsonValue::parse(registry.to_json().dump());
+  EXPECT_EQ(parsed.get("gauges").dump(),
+            R"({"a.gauge":1,"sim.events_per_task":1.75,"z.gauge":2})");
+
+  // flush_to carries the declaration; the target divides its own counters.
+  MetricsRegistry target;
+  registry.flush_to(target);
+  EXPECT_EQ(target.ratio_values(), (Values{{"sim.events_per_task", 1.75}}));
+  target.counter("sim.events").add(1);
+  EXPECT_EQ(target.ratio_values(), (Values{{"sim.events_per_task", 2.0}}));
 }
 
 TEST(MetricsRegistryTest, InstallReturnsPreviousAndUninstalls) {

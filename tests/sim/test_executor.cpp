@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "mars/obs/metrics.h"
 
 #include "mars/topology/presets.h"
 #include "mars/util/error.h"
@@ -147,6 +151,26 @@ TEST_F(ExecutorTest, TimingsAreConsistent) {
   EXPECT_LE(result.timings[a].end.count(), result.timings[b].start.count() + 1e-12);
   EXPECT_LE(result.timings[b].end.count(), result.timings[c].start.count() + 1e-12);
   EXPECT_DOUBLE_EQ(result.timings[c].end.count(), result.makespan.count());
+}
+
+TEST_F(ExecutorTest, CountsEventsAndTasksIntoTheInstalledRegistry) {
+  TaskGraph tg;
+  const TaskId a = tg.add_compute(0, milliseconds(1.0), "a");
+  const TaskId b = tg.add_transfer(0, 1, Bytes(1e6), "move", {a});
+  tg.add_compute(1, milliseconds(1.0), "c", {b});
+  tg.add_compute(0, milliseconds(1.0), "d");
+  obs::MetricsRegistry registry;
+  obs::MetricsRegistry* previous = obs::install_metrics(&registry);
+  const ExecutionResult first = exec_.run(tg);
+  const ExecutionResult second = exec_.run(tg);
+  obs::install_metrics(previous);
+
+  EXPECT_EQ(registry.counter_value("sim.events"), first.events + second.events);
+  EXPECT_EQ(registry.counter_value("sim.tasks"), 2 * tg.size());
+  const std::vector<std::pair<std::string, double>> ratios = {
+      {"sim.events_per_task", static_cast<double>(first.events) /
+                                  static_cast<double>(tg.size())}};
+  EXPECT_EQ(registry.ratio_values(), ratios);
 }
 
 /// The InvalidArgument message `run` throws for `tg`, or "" if it runs.

@@ -393,9 +393,13 @@ TEST(WaitQueueServing, EventsPerTaskStayFlatAsBacklogDoubles) {
         testing::polling::serve(topo, models.views(), options, arrivals);
     ASSERT_GT(result.tasks_executed, 0);
     EXPECT_EQ(registry.counter_value("sim.events"), result.events);
+    EXPECT_EQ(registry.counter_value("sim.tasks"), result.tasks_executed);
     EXPECT_LT(result.events, polled.events) << arrivals.size() << " requests";
     per_task[doubling] = static_cast<double>(result.events) /
                          static_cast<double>(result.tasks_executed);
+    const std::vector<std::pair<std::string, double>> ratios = {
+        {"sim.events_per_task", per_task[doubling]}};
+    EXPECT_EQ(registry.ratio_values(), ratios);
   }
   EXPECT_LE(per_task[1], 1.2 * per_task[0])
       << "events/task " << per_task[0] << " -> " << per_task[1];

@@ -10,7 +10,9 @@
 // a ServeResult) and both loops count popped events. The wait-queue
 // differential tests (tests/sim/test_wait_queue_differential.cpp) require
 // the production loops to match these exactly (double ==), and use the
-// event counts to show the quadratic work the queues remove.
+// event counts to show the quadratic work the queues remove. Both loops
+// pop from the retained single-heap queue (support/heap_event_queue.h),
+// so they share no queue code with the engine.
 #pragma once
 
 #include <algorithm>
@@ -21,10 +23,10 @@
 #include <vector>
 
 #include "mars/serve/scheduler.h"
-#include "mars/sim/event_queue.h"
 #include "mars/sim/executor.h"
 #include "mars/util/arena.h"
 #include "mars/util/error.h"
+#include "support/heap_event_queue.h"
 
 namespace mars::testing::polling {
 
@@ -63,7 +65,7 @@ inline sim::ExecutionResult execute(const topology::Topology& topo,
   // Route cache per transfer task.
   std::vector<std::vector<RouteLeg>> routes(static_cast<std::size_t>(n));
 
-  EventQueue<Event> queue;
+  HeapEventQueue<Event> queue;
   int completed = 0;
 
   auto finish_task = [&](TaskId id, Seconds now) {
@@ -533,7 +535,7 @@ class Engine {
   const std::vector<ServedModel>* models_;
   sim::Network network_;
 
-  sim::EventQueue<Event> queue_;
+  HeapEventQueue<Event> queue_;
   Seconds now_{};
 
   bool immediate_dispatch_ = false;

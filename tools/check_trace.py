@@ -14,10 +14,19 @@ Checks the JSON-object envelope ({"traceEvents": [...]}) and, per event:
   recorder sorts its export, so out-of-order timestamps mean a broken
   merge.
 
-Exit status: 0 when the trace is valid, 1 when any check fails (each
-failure is listed with its event index), 2 on usage or I/O errors.
+A valid trace's summary line ends with the SHA-256 of its simulated-clock
+(pid 1) slice: every pid-1 event in array order, one canonical JSON dump
+(sorted keys, no spaces) per line. That slice is byte-identical per seed
+across runs and --threads values (docs/OBSERVABILITY.md), so its digest
+pins a replay. With `--sim-digest FILE` the digest must also equal the
+one recorded in FILE (its first line that is not blank or a # comment).
+
+Exit status: 0 when the trace is valid (and its digest matches), 1 when
+any check fails (each failure is listed with its event index), 2 on usage
+or I/O errors.
 """
 
+import hashlib
 import json
 import sys
 
@@ -122,28 +131,66 @@ def validate(doc):
     return failures
 
 
+def sim_digest(events):
+    """SHA-256 of the pid-1 events, one canonical JSON dump per line."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256()
+    for event in events:
+        if event.get("pid") == 1:
+            digest.update(encoder.encode(event).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def recorded_digest(path):
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                return line
+    return ""
+
+
 def main(argv):
-    if len(argv) != 2:
-        print(f"usage: {argv[0]} TRACE.json", file=sys.stderr)
+    usage = f"usage: {argv[0]} TRACE.json [--sim-digest FILE]"
+    args = argv[1:]
+    expected_path = None
+    if len(args) == 3 and args[1] == "--sim-digest":
+        expected_path = args[2]
+        args = args[:1]
+    if len(args) != 1 or args[0].startswith("--"):
+        print(usage, file=sys.stderr)
         return 2
+    path = args[0]
     try:
-        with open(argv[1], encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
+        expected = recorded_digest(expected_path) if expected_path else None
     except OSError as error:
-        print(f"error: cannot read {argv[1]}: {error}", file=sys.stderr)
+        print(f"error: cannot read {error.filename}: {error}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as error:
-        print(f"error: {argv[1]} is not valid JSON: {error}", file=sys.stderr)
+        print(f"error: {path} is not valid JSON: {error}", file=sys.stderr)
         return 1
     failures = validate(doc)
     for failure in failures:
-        print(f"{argv[1]}: {failure}", file=sys.stderr)
+        print(f"{path}: {failure}", file=sys.stderr)
     if failures:
-        print(f"{argv[1]}: INVALID ({len(failures)} failure(s))", file=sys.stderr)
+        print(f"{path}: INVALID ({len(failures)} failure(s))", file=sys.stderr)
         return 1
     events = doc["traceEvents"]
     data = sum(1 for event in events if event.get("ph") != "M")
-    print(f"{argv[1]}: ok ({data} events, {len(events) - data} metadata)")
+    digest = sim_digest(events)
+    print(
+        f"{path}: ok ({data} events, {len(events) - data} metadata, "
+        f"pid-1 sha256 {digest})"
+    )
+    if expected is not None and digest != expected:
+        print(
+            f"{path}: pid-1 slice sha256 {digest} differs from {expected} "
+            f"recorded in {expected_path}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -62,7 +62,10 @@
 //
 // Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -233,9 +236,41 @@ struct ObsSession {
       for (const auto& [name, value] : registry.counter_values()) {
         std::clog << "metric " << name << "=" << value << '\n';
       }
+      for (const auto& [name, value] : registry.ratio_values()) {
+        std::clog << "metric " << name << "=" << value << '\n';
+      }
     }
   }
 };
+
+/// The accelerator count of `--topology family:<n>:<gbps>`: a whole
+/// decimal from `least` up to INT_MAX.
+int topology_count(const std::string& spec, const std::string& text,
+                   std::uint64_t least) {
+  const std::optional<std::uint64_t> n = parse_u64(text);
+  if (!n || *n < least || *n > static_cast<std::uint64_t>(INT_MAX)) {
+    throw InvalidArgument("--topology '" + spec +
+                          "' needs an integer count of " +
+                          std::to_string(least) +
+                          " or more accelerators, got '" + text + "'");
+  }
+  return static_cast<int>(*n);
+}
+
+/// The link bandwidth of `--topology family:<n>:<gbps>`: a whole finite
+/// positive number.
+double topology_gbps(const std::string& spec, const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end ||
+      !std::isfinite(value) || value <= 0.0) {
+    throw InvalidArgument("--topology '" + spec +
+                          "' needs a positive bandwidth in Gbps, got '" +
+                          text + "'");
+  }
+  return value;
+}
 
 /// Builds the topology named by `--topology`. `size_override > 0` rebuilds
 /// the same family at a different accelerator count — how `serve --shards`
@@ -252,14 +287,14 @@ topology::Topology make_topology(const Args& args, int size_override = 0) {
     return topology::f1_16xlarge();
   }
   const std::vector<std::string> parts = split(spec, ':');
-  if (parts.size() == 3 && parts[0] == "cloud") {
-    const int n = size_override > 0 ? size_override : std::stoi(parts[1]);
-    return topology::h2h_cloud(n, gbps(std::stod(parts[2])),
-                               args.flag("fixed") ? 4 : 0);
-  }
-  if (parts.size() == 3 && parts[0] == "ring") {
-    const int n = size_override > 0 ? size_override : std::stoi(parts[1]);
-    return topology::ring(n, gbps(std::stod(parts[2])), gbps(2.0));
+  if (parts.size() == 3 && (parts[0] == "cloud" || parts[0] == "ring")) {
+    const bool cloud = parts[0] == "cloud";
+    const int n = size_override > 0
+                      ? size_override
+                      : topology_count(spec, parts[1], cloud ? 1 : 2);
+    const Bandwidth bw = gbps(topology_gbps(spec, parts[2]));
+    if (cloud) return topology::h2h_cloud(n, bw, args.flag("fixed") ? 4 : 0);
+    return topology::ring(n, bw, gbps(2.0));
   }
   throw InvalidArgument("unknown topology '" + spec +
                         "' (use f1 | cloud:<n>:<gbps> | ring:<n>:<gbps>)");
