@@ -3,7 +3,6 @@
 // plus each bench's own switches), and GA searches with their memo counts.
 #pragma once
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -24,6 +23,7 @@
 #include "mars/plan/planner.h"
 #include "mars/topology/presets.h"
 #include "mars/util/csv.h"
+#include "mars/util/flags.h"
 #include "mars/util/strings.h"
 #include "mars/util/table.h"
 
@@ -38,44 +38,37 @@ struct Options {
 };
 
 /// Parses the shared flags plus `switches`, the bench's own valueless
-/// flags (e.g. "--smoke"). --help prints the usage line and exits 0. An
-/// unknown flag, a missing --csv path or a --seed that is not a whole
-/// decimal uint64 prints the error and the usage line and exits 1.
+/// flags (e.g. "--smoke"), with util::parse_flags. --help prints the usage
+/// line and exits 0; any usage error (an unknown flag, a missing --csv
+/// path, a --seed that is not a whole decimal uint64) prints the error and
+/// the usage line and exits 1.
 inline Options parse_options(int argc, char** argv,
                              const std::vector<std::string>& switches = {}) {
   std::string usage = std::string("usage: ") + argv[0] +
                       " [--quick] [--csv <path>] [--seed <n>]";
-  for (const std::string& name : switches) usage += " [" + name + "]";
-  const auto fail = [&](const std::string& message) {
-    std::cerr << "error: " << message << '\n' << usage << '\n';
-    std::exit(1);
-  };
+  util::FlagTable table = {{"quick"},
+                           {"csv", util::FlagKind::kText},
+                           {"seed", util::FlagKind::kSeed}};
+  for (const std::string& name : switches) {
+    usage += " [" + name + "]";
+    table.push_back({name.substr(2)});
+  }
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value =
-        i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
-    if (arg == "--quick") {
-      options.quick = true;
-    } else if (arg == "--csv") {
-      if (!has_value) fail("--csv needs a file path");
-      options.csv_path = argv[++i];
-    } else if (arg == "--seed") {
-      const std::string text = has_value ? argv[++i] : "";
-      const std::optional<std::uint64_t> seed = parse_u64(text);
-      if (!seed) {
-        fail("--seed needs a non-negative integer, got '" + text + "'");
-      }
-      options.seed = *seed;
-    } else if (arg == "--help" || arg == "-h") {
+  try {
+    const util::Flags flags = util::parse_flags(table, {argv + 1, argv + argc});
+    if (flags.help()) {
       std::cout << usage << '\n';
       std::exit(0);
-    } else if (std::find(switches.begin(), switches.end(), arg) !=
-               switches.end()) {
-      options.switches.insert(arg);
-    } else {
-      fail("unknown flag '" + arg + "'");
     }
+    options.quick = flags.has("quick");
+    if (flags.has("csv")) options.csv_path = flags.text("csv");
+    options.seed = flags.seed("seed", 1);
+    for (const std::string& name : switches) {
+      if (flags.has(name.substr(2))) options.switches.insert(name);
+    }
+  } catch (const InvalidArgument& e) {
+    std::cerr << "error: " << e.what() << '\n' << usage << '\n';
+    std::exit(1);
   }
   return options;
 }

@@ -34,8 +34,8 @@ Graph by_name(const std::string& name, DataType dtype) {
   const auto& table = factories();
   auto it = table.find(name);
   if (it == table.end()) {
-    std::vector<std::string> names = zoo_names();
-    MARS_THROW("unknown model '" << name << "'; available: " << join(names, ", "));
+    throw InvalidArgument("unknown model '" + name +
+                          "'; available: " + join(zoo_names(), ", "));
   }
   return it->second(dtype);
 }

@@ -36,7 +36,8 @@ Topology::Topology(std::string name) : name_(std::move(name)) {
 
 AccId Topology::add_accelerator(std::string name, Bytes dram, Bandwidth host_bw,
                                 int fixed_design) {
-  MARS_CHECK_ARG(size() < 64, "at most 64 accelerators (mask width)");
+  MARS_CHECK_ARG(size() < kMaxAccelerators,
+                 "at most " << kMaxAccelerators << " accelerators (mask width)");
   MARS_CHECK_ARG(dram.count() > 0.0, "accelerator DRAM must be positive");
   Accelerator acc;
   acc.id = size();

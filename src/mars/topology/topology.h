@@ -18,6 +18,8 @@ namespace mars::topology {
 using AccId = int;
 /// Bit i set <=> accelerator i belongs to the set.
 using AccMask = std::uint64_t;
+/// The most accelerators a topology may hold: one AccMask bit each.
+inline constexpr int kMaxAccelerators = 64;
 
 [[nodiscard]] constexpr AccMask mask_of(AccId acc) {
   return AccMask{1} << static_cast<unsigned>(acc);

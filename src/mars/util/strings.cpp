@@ -77,4 +77,14 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
   return value;
 }
 
+std::optional<double> parse_double(const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace mars

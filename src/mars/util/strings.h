@@ -32,4 +32,8 @@ namespace mars {
 /// space or prefix) and at most 2^64 - 1. nullopt otherwise.
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& text);
 
+/// `text` as a finite double when it is one whole decimal number (no space
+/// or '+' sign; "nan" and "inf" are not finite). nullopt otherwise.
+[[nodiscard]] std::optional<double> parse_double(const std::string& text);
+
 }  // namespace mars

@@ -32,7 +32,11 @@ void run_chunk(int worker, std::size_t begin, std::size_t end,
 }  // namespace
 
 WorkerPool::WorkerPool(int threads) : threads_(threads) {
-  MARS_CHECK_ARG(threads >= 1, "WorkerPool needs >= 1 thread, got " << threads);
+  if (threads < 1 || threads > kMaxThreads) {
+    throw InvalidArgument("WorkerPool needs 1 to " +
+                          std::to_string(kMaxThreads) + " threads, got " +
+                          std::to_string(threads));
+  }
   workers_.reserve(static_cast<std::size_t>(threads_ - 1));
   for (int w = 1; w < threads_; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });

@@ -31,13 +31,17 @@
 
 namespace mars::util {
 
+/// The most threads one pool (and so one `--threads` value) may have.
+inline constexpr int kMaxThreads = 1024;
+
 class WorkerPool {
  public:
   /// A function applied to one contiguous index chunk [begin, end).
   using ChunkFn = std::function<void(std::size_t begin, std::size_t end)>;
 
   /// Spawns `threads - 1` workers (the caller is the remaining thread).
-  /// Throws InvalidArgument when threads < 1.
+  /// Throws InvalidArgument, before spawning anything, when threads is
+  /// outside [1, kMaxThreads].
   explicit WorkerPool(int threads);
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;

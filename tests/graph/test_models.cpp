@@ -144,7 +144,7 @@ TEST(Models, FaceBagNetIsThreeStreamFusion) {
 }
 
 TEST(Models, ByNameRejectsUnknown) {
-  EXPECT_THROW((void)models::by_name("lenet"), Error);
+  EXPECT_THROW((void)models::by_name("lenet"), InvalidArgument);
 }
 
 TEST(Models, ZooNamesAreConstructible) {

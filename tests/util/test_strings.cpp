@@ -66,5 +66,19 @@ TEST(ParseU64, RejectsEverythingElse) {
   }
 }
 
+TEST(ParseDouble, AcceptsWholeFiniteDecimals) {
+  EXPECT_EQ(parse_double("0"), 0.0);
+  EXPECT_EQ(parse_double("-2.5"), -2.5);
+  EXPECT_EQ(parse_double("1e3"), 1000.0);
+  EXPECT_EQ(parse_double(".5"), 0.5);
+}
+
+TEST(ParseDouble, RejectsEverythingElse) {
+  for (const char* text : {"", "abc", "nan", "-nan", "inf", "-inf", "+1",
+                           " 1", "1 ", "1x", "1e999", "0x10"}) {
+    EXPECT_EQ(parse_double(text), std::nullopt) << "'" << text << "'";
+  }
+}
+
 }  // namespace
 }  // namespace mars

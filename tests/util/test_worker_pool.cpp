@@ -16,6 +16,10 @@ TEST(WorkerPoolTest, RejectsNonPositiveThreadCounts) {
   EXPECT_THROW((void)WorkerPool(-3), InvalidArgument);
 }
 
+TEST(WorkerPoolTest, RejectsMoreThreadsThanTheCapBeforeSpawning) {
+  EXPECT_THROW((void)WorkerPool(kMaxThreads + 1), InvalidArgument);
+}
+
 TEST(WorkerPoolTest, ChunksPartitionTheRangeExactly) {
   // The documented determinism contract: contiguous, disjoint, covering.
   for (const int threads : {1, 2, 3, 4, 7}) {

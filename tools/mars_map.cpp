@@ -51,10 +51,15 @@
 //       configured (topology, mapper) and store the results, so later
 //       serve/comap startups are cache hits.
 //
-// map, throughput and serve all accept `--trace FILE.json` (Chrome Trace
-// Event / Perfetto timeline of the run) and `--metrics FILE.json` (counter
-// registry snapshot). Both write their files after the command finishes and
-// report to stderr only — stdout is byte-identical with and without them.
+// Every command that searches (map, throughput, serve, comap, explore,
+// warm) accepts `--trace FILE.json` (Chrome Trace Event / Perfetto timeline
+// of the run) and `--metrics FILE.json` (counter registry snapshot). Both
+// write their files after the command finishes and report to stderr only —
+// stdout is byte-identical with and without them.
+//
+// Each command reads exactly the flags of its table in commands() below
+// (util/flags.h): an unknown or inapplicable flag, a positional token or
+// a malformed or out-of-range value is a usage error.
 //
 // The full flag reference lives in docs/CLI.md; the serving data flow in
 // docs/SERVING.md; clock domains and the trace determinism contract in
@@ -62,10 +67,7 @@
 //
 // Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <climits>
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -90,94 +92,15 @@
 #include "mars/serve/report.h"
 #include "mars/serve/scheduler.h"
 #include "mars/topology/presets.h"
+#include "mars/util/flags.h"
 #include "mars/util/strings.h"
 #include "mars/util/table.h"
+#include "mars/util/worker_pool.h"
 
 namespace {
 
 using namespace mars;
-
-struct Args {
-  std::string command;
-  // Options in CLI order; repeatable flags (--model) keep every occurrence.
-  std::vector<std::pair<std::string, std::string>> options;
-
-  bool flag(const std::string& name) const {
-    for (const auto& [key, value] : options) {
-      if (key == name) return true;
-    }
-    return false;
-  }
-  std::string get(const std::string& name, const std::string& fallback) const {
-    std::string result = fallback;
-    for (const auto& [key, value] : options) {
-      if (key == name) result = value;  // last occurrence wins
-    }
-    return result;
-  }
-  std::vector<std::string> all(const std::string& name) const {
-    std::vector<std::string> values;
-    for (const auto& [key, value] : options) {
-      if (key == name) values.push_back(value);
-    }
-    return values;
-  }
-};
-
-Args parse(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.options.emplace_back(key, argv[++i]);
-    } else {
-      args.options.emplace_back(key, "1");
-    }
-  }
-  return args;
-}
-
-/// Whole-string numeric flag parse; anything else is a usage error.
-double number_option(const Args& args, const std::string& name,
-                     const std::string& fallback) {
-  const std::string text = args.get(name, fallback);
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != text.size()) {
-    throw InvalidArgument("--" + name + " needs a number, got '" + text + "'");
-  }
-  return value;
-}
-
-int int_option(const Args& args, const std::string& name,
-               const std::string& fallback) {
-  const double value = number_option(args, name, fallback);
-  const int truncated = static_cast<int>(value);
-  if (static_cast<double>(truncated) != value) {
-    throw InvalidArgument("--" + name + " needs an integer, got '" +
-                          args.get(name, fallback) + "'");
-  }
-  return truncated;
-}
-
-/// --seed as a whole decimal uint64 (default 1).
-std::uint64_t seed_option(const Args& args) {
-  const std::string text = args.get("seed", "1");
-  const std::optional<std::uint64_t> seed = parse_u64(text);
-  if (!seed) {
-    throw InvalidArgument("--seed needs a non-negative integer, got '" + text +
-                          "'");
-  }
-  return *seed;
-}
+using enum util::FlagKind;
 
 /// Per-command observability session: `--trace FILE.json` installs a
 /// TraceRecorder, and a MetricsRegistry is always installed so component
@@ -191,21 +114,8 @@ struct ObsSession {
   std::string trace_path;
   std::string metrics_path;
 
-  explicit ObsSession(const Args& args) {
-    // Validate both paths before installing anything: a throw from here
-    // must not leave a global pointer at a dying recorder.
-    if (args.flag("trace")) {
-      trace_path = args.get("trace", "");
-      if (trace_path == "1") {
-        throw InvalidArgument("--trace needs an output file path (.json)");
-      }
-    }
-    if (args.flag("metrics")) {
-      metrics_path = args.get("metrics", "");
-      if (metrics_path == "1") {
-        throw InvalidArgument("--metrics needs an output file path (.json)");
-      }
-    }
+  explicit ObsSession(const util::Flags& flags)
+      : trace_path(flags.text("trace")), metrics_path(flags.text("metrics")) {
     if (!trace_path.empty()) {
       recorder.emplace();
       obs::install_trace(&*recorder);
@@ -244,15 +154,16 @@ struct ObsSession {
 };
 
 /// The accelerator count of `--topology family:<n>:<gbps>`: a whole
-/// decimal from `least` up to INT_MAX.
+/// decimal from `least` up to topology::kMaxAccelerators.
 int topology_count(const std::string& spec, const std::string& text,
                    std::uint64_t least) {
   const std::optional<std::uint64_t> n = parse_u64(text);
-  if (!n || *n < least || *n > static_cast<std::uint64_t>(INT_MAX)) {
+  if (!n || *n < least || *n > topology::kMaxAccelerators) {
     throw InvalidArgument("--topology '" + spec +
                           "' needs an integer count of " +
-                          std::to_string(least) +
-                          " or more accelerators, got '" + text + "'");
+                          std::to_string(least) + " to " +
+                          std::to_string(topology::kMaxAccelerators) +
+                          " accelerators, got '" + text + "'");
   }
   return static_cast<int>(*n);
 }
@@ -260,24 +171,22 @@ int topology_count(const std::string& spec, const std::string& text,
 /// The link bandwidth of `--topology family:<n>:<gbps>`: a whole finite
 /// positive number.
 double topology_gbps(const std::string& spec, const std::string& text) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (text.empty() || error != std::errc() || stop != end ||
-      !std::isfinite(value) || value <= 0.0) {
+  const std::optional<double> value = parse_double(text);
+  if (!value || *value <= 0.0) {
     throw InvalidArgument("--topology '" + spec +
                           "' needs a positive bandwidth in Gbps, got '" +
                           text + "'");
   }
-  return value;
+  return *value;
 }
 
 /// Builds the topology named by `--topology`. `size_override > 0` rebuilds
 /// the same family at a different accelerator count — how `serve --shards`
 /// derives one replica group from the fleet spec. Only the sizable
 /// families (cloud, ring) can be resized; f1 is a fixed preset.
-topology::Topology make_topology(const Args& args, int size_override = 0) {
-  const std::string spec = args.get("topology", "f1");
+topology::Topology make_topology(const util::Flags& flags,
+                                 int size_override = 0) {
+  const std::string spec = flags.text("topology", "f1");
   if (spec == "f1") {
     if (size_override > 0) {
       throw InvalidArgument(
@@ -293,30 +202,25 @@ topology::Topology make_topology(const Args& args, int size_override = 0) {
                       ? size_override
                       : topology_count(spec, parts[1], cloud ? 1 : 2);
     const Bandwidth bw = gbps(topology_gbps(spec, parts[2]));
-    if (cloud) return topology::h2h_cloud(n, bw, args.flag("fixed") ? 4 : 0);
+    if (cloud) return topology::h2h_cloud(n, bw, flags.has("fixed") ? 4 : 0);
     return topology::ring(n, bw, gbps(2.0));
   }
   throw InvalidArgument("unknown topology '" + spec +
                         "' (use f1 | cloud:<n>:<gbps> | ring:<n>:<gbps>)");
 }
 
-/// `--threads N` -> fitness-evaluation worker count. Execution-only (the
-/// mapping is byte-identical at any value); 0/negative are named usage
-/// errors, matching the `--rate`/`--slo` convention.
-int thread_count(const Args& args) {
-  const int threads = int_option(args, "threads", "1");
-  if (threads < 1) {
-    throw InvalidArgument("--threads must be >= 1, got '" +
-                          args.get("threads", "1") + "'");
-  }
-  return threads;
+/// `--fixed` selects the fixed-design (H2H-style) registry.
+accel::DesignRegistry make_designs(const util::Flags& flags) {
+  return flags.has("fixed") ? accel::h2h_designs() : accel::table2_designs();
 }
 
-core::MarsConfig make_config(const Args& args) {
+/// `--seed` and `--threads`, plus the smoke-sized GA schedule when `quick`
+/// (`--quick`, or serving's default unless `--full`).
+core::MarsConfig make_config(const util::Flags& flags, bool quick) {
   core::MarsConfig config;
-  config.seed = seed_option(args);
-  config.threads = thread_count(args);
-  if (args.flag("quick")) {
+  config.seed = flags.seed("seed", 1);
+  config.threads = flags.integer("threads", 1);
+  if (quick) {
     config.first_ga.population = 12;
     config.first_ga.generations = 8;
     config.second.ga.population = 8;
@@ -325,43 +229,25 @@ core::MarsConfig make_config(const Args& args) {
   return config;
 }
 
-/// `--mapper NAME` -> a search engine tuned by `config`. Unknown names are
-/// usage errors that name the flag, the value, and the valid set; engine
-/// config-validation errors pass through with their own field messages.
-std::unique_ptr<plan::SearchEngine> make_engine(const Args& args,
-                                                const core::MarsConfig& config) {
-  const std::string name = args.get("mapper", "ga");
-  const std::vector<std::string>& names = plan::engine_names();
-  if (name != "mars" && name.rfind("race:", 0) != 0 &&
-      std::find(names.begin(), names.end(), name) == names.end()) {
-    throw InvalidArgument(
-        "unknown --mapper '" + name +
-        "' (use ga | anneal | random | baseline | portfolio | "
-        "race:<m>+<m>[,MS])");
-  }
-  return plan::make_engine(name, config);
-}
-
-/// `--search-budget MS` (wall clock) and `--search-evals N` (evaluation
-/// count); 0 (the default) leaves the engine's own schedule unbounded.
-plan::Budget make_budget(const Args& args) {
+/// `--search-budget MS` (wall clock) plus the evaluation cap `evals_flag`
+/// (`--search-evals`, or explore's `--points`); 0 (the default) leaves
+/// either unbounded.
+plan::Budget make_budget(const util::Flags& flags,
+                         const std::string& evals_flag = "search-evals") {
   plan::Budget budget;
-  const double ms = number_option(args, "search-budget", "0");
-  if (ms < 0.0) {
-    throw InvalidArgument("--search-budget must be >= 0 ms, got '" +
-                          args.get("search-budget", "0") + "'");
-  }
-  budget.wall_clock = milliseconds(ms);
-  const int evals = int_option(args, "search-evals", "0");
-  if (evals < 0) {
-    throw InvalidArgument("--search-evals must be >= 0, got '" +
-                          args.get("search-evals", "0") + "'");
-  }
-  budget.max_evaluations = evals;
+  budget.wall_clock = milliseconds(flags.number("search-budget", 0.0));
+  budget.max_evaluations = flags.integer(evals_flag, 0);
   return budget;
 }
 
-int cmd_models() {
+/// `--mapping-cache DIR`, when given.
+std::optional<serve::MappingCache> open_cache(const util::Flags& flags) {
+  if (!flags.has("mapping-cache")) return std::nullopt;
+  return std::optional<serve::MappingCache>(std::in_place,
+                                            flags.text("mapping-cache"));
+}
+
+int cmd_models(const util::Flags&) {
   Table table({"Model", "#Convs", "Mappable", "#Params", "MACs"});
   for (const std::string& name : graph::models::zoo_names()) {
     const graph::Graph model = graph::models::by_name(name);
@@ -373,9 +259,9 @@ int cmd_models() {
   return 0;
 }
 
-int cmd_profile(const Args& args) {
+int cmd_profile(const util::Flags& flags) {
   const graph::Graph model =
-      graph::models::by_name(args.get("model", "resnet34"));
+      graph::models::by_name(flags.text("model", "resnet34"));
   const graph::ConvSpine spine = graph::ConvSpine::extract(model);
   const accel::DesignRegistry designs = accel::table2_designs();
   const accel::ProfileMatrix profile(designs, spine);
@@ -400,26 +286,25 @@ struct LoadedProblem {
   accel::DesignRegistry designs;
   plan::Planner planner;
 
-  static graph::Graph load_model(const Args& args) {
-    if (args.flag("model-file")) {
-      return graph::parse_model_file(args.get("model-file", ""));
+  static graph::Graph load_model(const util::Flags& flags) {
+    if (flags.has("model-file")) {
+      return graph::parse_model_file(flags.text("model-file"));
     }
-    return graph::models::by_name(args.get("model", "resnet34"));
+    return graph::models::by_name(flags.text("model", "resnet34"));
   }
 
-  explicit LoadedProblem(const Args& args)
-      : topo(make_topology(args)),
-        designs(args.flag("fixed") ? accel::h2h_designs()
-                                   : accel::table2_designs()),
-        planner(load_model(args), topo, designs, !args.flag("fixed")) {}
+  explicit LoadedProblem(const util::Flags& flags)
+      : topo(make_topology(flags)),
+        designs(make_designs(flags)),
+        planner(load_model(flags), topo, designs, !flags.has("fixed")) {}
 };
 
-int cmd_map(const Args& args) {
-  const ObsSession session(args);
-  LoadedProblem lp(args);
-  const std::unique_ptr<plan::SearchEngine> engine =
-      make_engine(args, make_config(args));
-  const plan::PlanResult result = lp.planner.plan(*engine, make_budget(args));
+int cmd_map(const util::Flags& flags) {
+  const ObsSession session(flags);
+  LoadedProblem lp(flags);
+  const std::unique_ptr<plan::SearchEngine> engine = plan::make_engine(
+      flags.text("mapper", "ga"), make_config(flags, flags.has("quick")));
+  const plan::PlanResult result = lp.planner.plan(*engine, make_budget(flags));
   const bool adaptive = lp.planner.problem().adaptive;
 
   std::cout << core::describe(result.mapping, lp.planner.spine(), lp.designs,
@@ -442,21 +327,21 @@ int cmd_map(const Args& args) {
     std::cout << ")\n";
   }
 
-  if (args.flag("json")) {
+  if (flags.has("json")) {
     JsonValue out = JsonValue::object();
     out.set("mapping", core::to_json(result.mapping, lp.planner.spine(),
                                      lp.designs, adaptive));
     out.set("summary", core::to_json(result.summary));
     out.set("provenance", plan::to_json(result.provenance));
-    std::ofstream file(args.get("json", "mapping.json"));
+    std::ofstream file(flags.text("json"));
     file << out.dump() << '\n';
-    std::cout << "wrote " << args.get("json", "mapping.json") << '\n';
+    std::cout << "wrote " << flags.text("json") << '\n';
   }
   return 0;
 }
 
-int cmd_baseline(const Args& args) {
-  LoadedProblem lp(args);
+int cmd_baseline(const util::Flags& flags) {
+  LoadedProblem lp(flags);
   const plan::BaselineEngine engine;
   const plan::PlanResult result = lp.planner.plan(engine);
   std::cout << core::describe(result.mapping, lp.planner.spine(), lp.designs,
@@ -466,13 +351,13 @@ int cmd_baseline(const Args& args) {
   return 0;
 }
 
-int cmd_throughput(const Args& args) {
-  const ObsSession session(args);
-  LoadedProblem lp(args);
-  const int batch = int_option(args, "batch", "8");
-  const std::unique_ptr<plan::SearchEngine> engine =
-      make_engine(args, make_config(args));
-  const plan::PlanResult result = lp.planner.plan(*engine, make_budget(args));
+int cmd_throughput(const util::Flags& flags) {
+  const ObsSession session(flags);
+  LoadedProblem lp(flags);
+  const int batch = flags.integer("batch", 8);
+  const std::unique_ptr<plan::SearchEngine> engine = plan::make_engine(
+      flags.text("mapper", "ga"), make_config(flags, flags.has("quick")));
+  const plan::PlanResult result = lp.planner.plan(*engine, make_budget(flags));
   const core::MappingEvaluator evaluator(lp.planner.problem());
   const auto throughput = evaluator.evaluate_throughput(result.mapping, batch);
   std::cout << "batch " << batch << ": " << throughput.makespan.millis()
@@ -489,47 +374,33 @@ struct ModelMix {
   std::vector<std::string> names;
   std::vector<double> weights;
   std::vector<Seconds> slos;
-
-  [[nodiscard]] bool has_model_slos() const {
-    return std::any_of(slos.begin(), slos.end(),
-                       [](Seconds s) { return s.count() > 0.0; });
-  }
 };
 
-/// Parses every `--model` occurrence; numeric fields are whole-string
-/// parses with named errors, matching the `--rate`/`--slo` convention.
-ModelMix parse_model_mix(const Args& args) {
+/// Parses every `--model` occurrence; the weight and SLO are finite
+/// whole-string numbers (util parse_double) with named errors.
+ModelMix parse_model_mix(const util::Flags& flags) {
   ModelMix mix;
-  const auto parse_number = [](const std::string& text, double& out) {
-    std::size_t consumed = 0;
-    try {
-      out = std::stod(text, &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    return consumed == text.size();
-  };
-  for (const std::string& spec : args.all("model")) {
+  for (const std::string& spec : flags.all("model")) {
     const std::vector<std::string> parts = split(spec, ':');
     if (parts.empty() || parts[0].empty() || parts.size() > 3) {
       throw InvalidArgument("bad --model spec '" + spec +
                             "' (use name[:weight[:sloMS]])");
     }
-    double weight = 1.0;
-    if (parts.size() >= 2 &&
-        (!parse_number(parts[1], weight) || weight < 0.0)) {
+    const std::optional<double> weight =
+        parts.size() >= 2 ? parse_double(parts[1]) : std::optional(1.0);
+    if (!weight || *weight < 0.0) {
       throw InvalidArgument("bad --model weight in '" + spec +
                             "' (use name[:weight[:sloMS]])");
     }
-    double slo_ms = 0.0;
-    if (parts.size() == 3 &&
-        (!parse_number(parts[2], slo_ms) || slo_ms <= 0.0)) {
+    const std::optional<double> slo_ms =
+        parts.size() == 3 ? parse_double(parts[2]) : std::optional(0.0);
+    if (!slo_ms || (parts.size() == 3 && *slo_ms <= 0.0)) {
       throw InvalidArgument("bad --model SLO in '" + spec +
                             "' (use name[:weight[:sloMS]], SLO in ms > 0)");
     }
     mix.names.push_back(parts[0]);
-    mix.weights.push_back(weight);
-    mix.slos.push_back(milliseconds(slo_ms));
+    mix.weights.push_back(*weight);
+    mix.slos.push_back(milliseconds(*slo_ms));
   }
   return mix;
 }
@@ -556,9 +427,9 @@ std::vector<std::vector<int>> parse_shard_models(
   return shard_models;
 }
 
-int cmd_serve(const Args& args) {
-  const ObsSession session(args);
-  ModelMix mix = parse_model_mix(args);
+int cmd_serve(const util::Flags& flags) {
+  const ObsSession session(flags);
+  ModelMix mix = parse_model_mix(flags);
   if (mix.names.empty()) {
     mix.names = {"resnet34"};
     mix.weights = {1.0};
@@ -571,17 +442,13 @@ int cmd_serve(const Args& args) {
   // are planned once on the group topology (replica groups are copies);
   // the fleet spec from --topology only sets the accelerator budget being
   // divided. Partition notes go to stderr so sharded stdout stays clean.
-  const int shards_requested = int_option(args, "shards", "1");
-  if (shards_requested < 1) {
-    throw InvalidArgument("--shards must be >= 1, got '" +
-                          args.get("shards", "1") + "'");
-  }
-  topology::Topology topo = make_topology(args);
+  const int shards_requested = flags.integer("shards", 1);
+  topology::Topology topo = make_topology(flags);
   serve::FleetPartition partition;
   partition.group_accelerators = topo.size();
   if (shards_requested > 1) {
     partition = serve::partition_fleet(topo.size(), shards_requested);
-    topo = make_topology(args, partition.group_accelerators);
+    topo = make_topology(flags, partition.group_accelerators);
     if (partition.clamped) {
       std::clog << "--shards " << shards_requested << " clamped to "
                 << partition.shards
@@ -593,62 +460,34 @@ int cmd_serve(const Args& args) {
                 << " replica groups\n";
     }
   }
-  const accel::DesignRegistry designs =
-      args.flag("fixed") ? accel::h2h_designs() : accel::table2_designs();
+  const accel::DesignRegistry designs = make_designs(flags);
 
   // Serving plans one mapping per model up front; default to the quick
   // search budget (--full restores the offline default, --mapper baseline
   // skips the search entirely).
-  core::MarsConfig config;
-  config.seed = seed_option(args);
-  config.threads = thread_count(args);
-  if (!args.flag("full")) {
-    config.first_ga.population = 12;
-    config.first_ga.generations = 8;
-    config.second.ga.population = 8;
-    config.second.ga.generations = 6;
-  }
+  const core::MarsConfig config = make_config(flags, !flags.has("full"));
   // "mars" stays accepted as an alias of "ga" for old scripts.
-  const std::unique_ptr<plan::SearchEngine> engine = make_engine(args, config);
-  const plan::Budget search_budget = make_budget(args);
+  const std::unique_ptr<plan::SearchEngine> engine =
+      plan::make_engine(flags.text("mapper", "ga"), config);
+  const plan::Budget search_budget = make_budget(flags);
 
-  // Parse every workload flag before the (expensive) per-model planning
+  // Parse every workload spec before the (expensive) per-model planning
   // so usage errors fail fast.
   const serve::PolicySpec policy =
-      serve::PolicySpec::parse(args.get("policy", "none"));
+      serve::PolicySpec::parse(flags.text("policy", "none"));
   serve::SchedulerOptions options;
   options.policy = policy.batch;
   options.admission = policy.admission;
   // Per-model SLOs (from --model name:weight:sloMS) tighten or relax slo:
   // admission per tenant; models without one keep the policy's shared slo.
   options.admission.per_model_slo = mix.slos;
-  const Seconds duration = Seconds(number_option(args, "duration", "5"));
+  const Seconds duration = Seconds(flags.number("duration", 5.0));
   const std::uint64_t seed = config.seed;
-  const Seconds slo = milliseconds(number_option(args, "slo", "100"));
-  const double rate = number_option(args, "rate", "100");
-  const int clients = int_option(args, "clients", "8");
-  const Seconds think = milliseconds(number_option(args, "think", "0"));
-  if (rate <= 0.0) {
-    throw InvalidArgument("--rate must be > 0 requests/s, got '" +
-                          args.get("rate", "100") + "'");
-  }
-  if (duration.count() <= 0.0) {
-    throw InvalidArgument("--duration must be > 0 seconds, got '" +
-                          args.get("duration", "5") + "'");
-  }
-  if (slo.count() < 0.0) {
-    throw InvalidArgument("--slo must be >= 0 ms, got '" +
-                          args.get("slo", "100") + "'");
-  }
-  if (think.count() < 0.0) {
-    throw InvalidArgument("--think must be >= 0 ms, got '" +
-                          args.get("think", "0") + "'");
-  }
-  if (args.flag("clients") && clients < 1) {
-    throw InvalidArgument("--clients must be >= 1, got '" +
-                          args.get("clients", "8") + "'");
-  }
-  if (args.flag("clients") &&
+  const Seconds slo = milliseconds(flags.number("slo", 100.0));
+  const double rate = flags.number("rate", 100.0);
+  const int clients = flags.integer("clients", 8);
+  const Seconds think = milliseconds(flags.number("think", 0.0));
+  if (flags.has("clients") &&
       policy.admission.kind != serve::AdmissionPolicy::Kind::kNone &&
       think.count() <= 0.0) {
     throw InvalidArgument("--policy " + policy.admission.to_string() +
@@ -660,18 +499,11 @@ int cmd_serve(const Args& args) {
   // (topology, designs, config) load the searched mappings instead of
   // re-running the GA. Provenance goes to stderr so the serving report on
   // stdout stays byte-identical between cold and warm runs.
-  std::optional<serve::MappingCache> cache;
-  if (args.flag("mapping-cache")) {
-    const std::string dir = args.get("mapping-cache", "");
-    if (dir == "1") {
-      throw InvalidArgument("--mapping-cache needs a directory path");
-    }
-    cache.emplace(dir);
-  }
+  const std::optional<serve::MappingCache> cache = open_cache(flags);
 
   const auto plan_start = std::chrono::steady_clock::now();
   const std::vector<std::unique_ptr<serve::ModelService>> services =
-      serve::plan_services(names, topo, designs, !args.flag("fixed"), *engine,
+      serve::plan_services(names, topo, designs, !flags.has("fixed"), *engine,
                            cache ? &*cache : nullptr, search_budget);
   const double plan_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -712,24 +544,17 @@ int cmd_serve(const Args& args) {
   fleet_options.shards = partition.shards;
   fleet_options.threads = config.threads;
   fleet_options.scheduler = options;
-  if (args.flag("shard-models")) {
-    const std::string spec = args.get("shard-models", "");
-    if (spec == "1") {
-      throw InvalidArgument(
-          "--shard-models needs a spec like 'a+b/c' (one '/'-separated "
-          "entry per shard)");
-    }
-    fleet_options.shard_models = parse_shard_models(spec, names);
+  if (flags.has("shard-models")) {
+    fleet_options.shard_models =
+        parse_shard_models(flags.text("shard-models"), names);
   }
   const serve::FleetScheduler scheduler(topo, refs, fleet_options);
 
   serve::ServeResult result;
-  if (args.flag("replay")) {
-    // A bare `--replay` parses as the sentinel value "1".
-    const std::string replay = args.get("replay", "");
-    if (replay == "1") throw InvalidArgument("--replay needs a CSV file path");
-    result = scheduler.run(serve::replay_trace_file(replay, names));
-  } else if (args.flag("clients")) {
+  if (flags.has("replay")) {
+    result =
+        scheduler.run(serve::replay_trace_file(flags.text("replay"), names));
+  } else if (flags.has("clients")) {
     const serve::ClosedLoopSpec spec =
         serve::make_closed_loop(weights, clients, think);
     result = scheduler.run_closed_loop(spec, duration);
@@ -743,9 +568,8 @@ int cmd_serve(const Args& args) {
             << result.batches_dispatched << " batches dispatched\n\n"
             << serve::describe(metrics);
 
-  if (args.flag("json")) {
-    std::string path = args.get("json", "serve.json");
-    if (path == "1") path = "serve.json";  // bare --json
+  if (flags.has("json")) {
+    const std::string path = flags.text("json");
     std::ofstream file(path);
     file << serve::to_json(metrics).dump() << '\n';
     std::cout << "\nwrote " << path << '\n';
@@ -753,80 +577,52 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-int cmd_comap(const Args& args) {
-  const ObsSession session(args);
-  const ModelMix mix = parse_model_mix(args);
+int cmd_comap(const util::Flags& flags) {
+  const ObsSession session(flags);
+  const ModelMix mix = parse_model_mix(flags);
   if (mix.names.empty()) {
     throw InvalidArgument(
         "comap needs at least one --model name[:weight[:sloMS]]");
   }
 
-  const topology::Topology topo = make_topology(args);
-  const accel::DesignRegistry designs =
-      args.flag("fixed") ? accel::h2h_designs() : accel::table2_designs();
+  const topology::Topology topo = make_topology(flags);
+  const accel::DesignRegistry designs = make_designs(flags);
 
   comap::CoMapProblem problem;
   problem.topo = &topo;
   problem.designs = &designs;
-  problem.adaptive = !args.flag("fixed");
+  problem.adaptive = !flags.has("fixed");
   for (std::size_t t = 0; t < mix.names.size(); ++t) {
     problem.tenants.push_back(
         comap::Tenant{mix.names[t], mix.weights[t], mix.slos[t]});
   }
-  const double rate = number_option(args, "rate", "150");
-  if (rate <= 0.0) {
-    throw InvalidArgument("--rate must be > 0 requests/s, got '" +
-                          args.get("rate", "150") + "'");
-  }
-  const double rollout_ms = number_option(args, "rollout", "1000");
-  if (rollout_ms <= 0.0) {
-    throw InvalidArgument("--rollout must be > 0 ms, got '" +
-                          args.get("rollout", "1000") + "'");
-  }
-  const double slo_ms = number_option(args, "slo", "100");
-  if (slo_ms <= 0.0) {
-    throw InvalidArgument("--slo must be > 0 ms, got '" +
-                          args.get("slo", "100") + "'");
-  }
+  const double rate = flags.number("rate", 150.0);
+  const double rollout_ms = flags.number("rollout", 1000.0);
   problem.rollout.rate = rate;
   problem.rollout.duration = milliseconds(rollout_ms);
-  problem.rollout.seed = seed_option(args);
-  problem.rollout.policy = serve::PolicySpec::parse(args.get("policy", "none"));
-  problem.rollout.default_slo = milliseconds(slo_ms);
+  problem.rollout.seed = flags.seed("seed", 1);
+  problem.rollout.policy =
+      serve::PolicySpec::parse(flags.text("policy", "none"));
+  problem.rollout.default_slo = milliseconds(flags.number("slo", 100.0));
 
   comap::CoMapConfig config;
-  config.encoding = comap::parse_encoding(args.get("encoding", "partition"));
-  config.seed = problem.rollout.seed;
-  config.threads = thread_count(args);
+  config.encoding = comap::parse_encoding(flags.text("encoding", "partition"));
   // Rollouts dominate: the inner per-tenant searches default to the quick
   // serving schedule (--full restores the offline default), and --quick
   // additionally shrinks the outer GA for smoke runs.
-  if (!args.flag("full")) {
-    config.inner.first_ga.population = 12;
-    config.inner.first_ga.generations = 8;
-    config.inner.second.ga.population = 8;
-    config.inner.second.ga.generations = 6;
-  }
-  config.inner.seed = config.seed;
-  config.inner.threads = config.threads;
-  if (args.flag("quick")) {
+  config.inner = make_config(flags, !flags.has("full"));
+  config.seed = config.inner.seed;
+  config.threads = config.inner.threads;
+  if (flags.has("quick")) {
     config.ga.population = 8;
     config.ga.generations = 6;
     config.ga.stall_generations = 4;
   }
-
-  std::optional<serve::MappingCache> cache;
-  if (args.flag("mapping-cache")) {
-    const std::string dir = args.get("mapping-cache", "");
-    if (dir == "1") {
-      throw InvalidArgument("--mapping-cache needs a directory path");
-    }
-    cache.emplace(dir);
-  }
+  const std::optional<serve::MappingCache> cache = open_cache(flags);
 
   const comap::CoMapEngine engine(config);
   const comap::CoMapResult result =
-      engine.search(problem, make_budget(args), cache ? &*cache : nullptr);
+      engine.search(problem, make_budget(flags), cache ? &*cache : nullptr);
   // Wall-clock provenance goes to stderr: stdout is a pure function of
   // the (deterministic) result, byte-identical at any --threads.
   std::clog << "comap search took "
@@ -892,9 +688,8 @@ int cmd_comap(const Args& args) {
             << result.provenance.iterations << " generations, stopped: "
             << plan::to_string(result.provenance.stopped) << '\n';
 
-  if (args.flag("json")) {
-    std::string path = args.get("json", "comap.json");
-    if (path == "1") path = "comap.json";
+  if (flags.has("json")) {
+    const std::string path = flags.text("json");
     JsonValue out = JsonValue::object();
     JsonValue tenants = JsonValue::array();
     for (std::size_t t = 0; t < problem.tenants.size(); ++t) {
@@ -933,57 +728,26 @@ int cmd_comap(const Args& args) {
   return 0;
 }
 
-int cmd_explore(const Args& args) {
-  const ObsSession session(args);
+int cmd_explore(const util::Flags& flags) {
+  const ObsSession session(flags);
   explore::ExploreConfig config;
-  config.model = args.get("model", "alexnet");
+  config.model = flags.text("model", "alexnet");
   // Both parsers throw InvalidArgument naming the offending axis/value
   // (docs/EXPLORE.md grammar); an absent --space means the default grid.
-  config.space = explore::DesignSpace::parse(args.get("space", ""));
-  config.objectives =
-      explore::parse_objectives(args.get("objectives", "makespan,energy,cost"));
-  config.mapper = args.get("mapper", "ga");
-  config.tuning = make_config(args);
-  const int search_evals = int_option(args, "search-evals", "0");
-  if (search_evals < 0) {
-    throw InvalidArgument("--search-evals must be >= 0, got '" +
-                          args.get("search-evals", "0") + "'");
-  }
-  config.search_evaluations = search_evals;
-  config.population = int_option(args, "population", "12");
-  config.generations = int_option(args, "generations", "6");
-  config.seed = seed_option(args);
-  config.threads = thread_count(args);
-  const int front_size = int_option(args, "front-size", "0");
-  if (front_size < 0) {
-    throw InvalidArgument("--front-size must be >= 0, got '" +
-                          args.get("front-size", "0") + "'");
-  }
-  config.front_size = front_size;
-
+  config.space = explore::DesignSpace::parse(flags.text("space"));
+  config.objectives = explore::parse_objectives(
+      flags.text("objectives", "makespan,energy,cost"));
+  config.mapper = flags.text("mapper", "ga");
+  config.tuning = make_config(flags, flags.has("quick"));
+  config.search_evaluations = flags.integer("search-evals", 0);
+  config.population = flags.integer("population", 12);
+  config.generations = flags.integer("generations", 6);
+  config.seed = config.tuning.seed;
+  config.threads = config.tuning.threads;
+  config.front_size = flags.integer("front-size", 0);
   // Outer budget: distinct hardware points priced and/or wall clock.
-  plan::Budget outer;
-  const double ms = number_option(args, "search-budget", "0");
-  if (ms < 0.0) {
-    throw InvalidArgument("--search-budget must be >= 0 ms, got '" +
-                          args.get("search-budget", "0") + "'");
-  }
-  outer.wall_clock = milliseconds(ms);
-  const int points = int_option(args, "points", "0");
-  if (points < 0) {
-    throw InvalidArgument("--points must be >= 0, got '" +
-                          args.get("points", "0") + "'");
-  }
-  outer.max_evaluations = points;
-
-  std::optional<serve::MappingCache> cache;
-  if (args.flag("mapping-cache")) {
-    const std::string dir = args.get("mapping-cache", "");
-    if (dir == "1") {
-      throw InvalidArgument("--mapping-cache needs a directory path");
-    }
-    cache.emplace(dir);
-  }
+  const plan::Budget outer = make_budget(flags, "points");
+  const std::optional<serve::MappingCache> cache = open_cache(flags);
 
   const explore::ExploreEngine engine(config);
   const explore::ExploreResult result =
@@ -1032,20 +796,14 @@ int cmd_explore(const Args& args) {
             << " s, stopped: " << plan::to_string(result.provenance.stopped)
             << ", cache hits: " << result.cache_hits << '\n';
 
-  if (args.flag("csv")) {
-    const std::string path = args.get("csv", "");
-    if (path == "1") {
-      throw InvalidArgument("--csv needs an output file path");
-    }
+  if (flags.has("csv")) {
+    const std::string path = flags.text("csv");
     std::ofstream file(path);
     file << explore::front_csv(result, config);
     std::cout << "wrote " << path << '\n';
   }
-  if (args.flag("json")) {
-    const std::string path = args.get("json", "");
-    if (path == "1") {
-      throw InvalidArgument("--json needs an output file path");
-    }
+  if (flags.has("json")) {
+    const std::string path = flags.text("json");
     std::ofstream file(path);
     file << explore::front_json(result, config) << '\n';
     std::cout << "wrote " << path << '\n';
@@ -1053,12 +811,12 @@ int cmd_explore(const Args& args) {
   return 0;
 }
 
-int cmd_warm(const Args& args) {
-  const ObsSession session(args);
+int cmd_warm(const util::Flags& flags) {
+  const ObsSession session(flags);
   // Accept --models a,b,c and/or repeated --model NAME (bare names; the
   // cache key is per model, weights/SLOs play no part in planning).
-  std::vector<std::string> names = args.all("model");
-  for (const std::string& csv : args.all("models")) {
+  std::vector<std::string> names = flags.all("model");
+  for (const std::string& csv : flags.all("models")) {
     for (const std::string& name : split(csv, ',')) {
       if (!name.empty()) names.push_back(name);
     }
@@ -1066,29 +824,20 @@ int cmd_warm(const Args& args) {
   if (names.empty()) {
     throw InvalidArgument("warm needs --models a,b,c (or repeated --model)");
   }
-  const std::string dir = args.get("mapping-cache", "");
-  if (dir.empty() || dir == "1") {
+  const std::string dir = flags.text("mapping-cache");
+  if (dir.empty()) {
     throw InvalidArgument("warm needs --mapping-cache DIR (the cache to fill)");
   }
 
-  const topology::Topology topo = make_topology(args);
-  const accel::DesignRegistry designs =
-      args.flag("fixed") ? accel::h2h_designs() : accel::table2_designs();
-  core::MarsConfig config;
-  config.seed = seed_option(args);
-  config.threads = thread_count(args);
-  if (!args.flag("full")) {
-    config.first_ga.population = 12;
-    config.first_ga.generations = 8;
-    config.second.ga.population = 8;
-    config.second.ga.generations = 6;
-  }
-  const std::unique_ptr<plan::SearchEngine> engine = make_engine(args, config);
+  const topology::Topology topo = make_topology(flags);
+  const accel::DesignRegistry designs = make_designs(flags);
+  const std::unique_ptr<plan::SearchEngine> engine = plan::make_engine(
+      flags.text("mapper", "ga"), make_config(flags, !flags.has("full")));
   const serve::MappingCache cache(dir);
 
   const std::vector<std::unique_ptr<serve::ModelService>> services =
-      serve::plan_services(names, topo, designs, !args.flag("fixed"), *engine,
-                           &cache, make_budget(args));
+      serve::plan_services(names, topo, designs, !flags.has("fixed"), *engine,
+                           &cache, make_budget(flags));
   for (const std::unique_ptr<serve::ModelService>& service : services) {
     std::cout << "warm " << service->name() << ": "
               << serve::to_string(service->mapping_source()) << '\n';
@@ -1130,28 +879,112 @@ int usage(std::ostream& os) {
   return 1;
 }
 
+/// Rows shared by several commands: the system a mapping runs on, the
+/// search knobs, and the observability outputs.
+const util::FlagTable kProblemFlags = {{"topology", kText}, {"fixed"}};
+const util::FlagTable kSearchFlags = {
+    {"seed", kSeed},
+    {"threads", kInteger, {1, false, util::kMaxThreads}},
+    {"search-budget", kNumber, util::at_least(0)},
+    {"search-evals", kInteger, util::at_least(0)}};
+const util::FlagTable kObsFlags = {{"trace", kText}, {"metrics", kText}};
+
+util::FlagTable rows(std::initializer_list<util::FlagTable> groups) {
+  util::FlagTable table;
+  for (const util::FlagTable& group : groups) {
+    table.insert(table.end(), group.begin(), group.end());
+  }
+  return table;
+}
+
+/// One subcommand: exactly the flags it reads, and its body.
+struct Command {
+  std::string name;
+  util::FlagTable flags;
+  int (*run)(const util::Flags&);
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> kCommands = {
+      {"models", {}, cmd_models},
+      {"profile", {{"model", kText}}, cmd_profile},
+      {"map",
+       rows({kProblemFlags, kSearchFlags, kObsFlags,
+             {{"model", kText}, {"model-file", kText}, {"mapper", kText},
+              {"quick"}, {"json", kText}}}),
+       cmd_map},
+      {"baseline",
+       rows({kProblemFlags, {{"model", kText}, {"model-file", kText}}}),
+       cmd_baseline},
+      {"throughput",
+       rows({kProblemFlags, kSearchFlags, kObsFlags,
+             {{"model", kText}, {"model-file", kText}, {"mapper", kText},
+              {"quick"}, {"batch", kInteger, util::at_least(1)}}}),
+       cmd_throughput},
+      {"serve",
+       rows({kProblemFlags, kSearchFlags, kObsFlags,
+             {{"model", kRepeatable}, {"mapper", kText}, {"full"},
+              {"mapping-cache", kText}, {"policy", kText},
+              {"rate", kNumber, util::above(0)},
+              {"duration", kNumber, util::above(0)},
+              {"slo", kNumber, util::at_least(0)}, {"replay", kText},
+              {"clients", kInteger, util::at_least(1)},
+              {"think", kNumber, util::at_least(0)},
+              {"shards", kInteger, util::at_least(1)},
+              {"shard-models", kText}, {"json", kText, {}, "serve.json"}}}),
+       cmd_serve},
+      {"comap",
+       rows({kProblemFlags, kSearchFlags, kObsFlags,
+             {{"model", kRepeatable}, {"quick"}, {"full"},
+              {"mapping-cache", kText}, {"encoding", kText}, {"policy", kText},
+              {"rate", kNumber, util::above(0)},
+              {"rollout", kNumber, util::above(0)},
+              {"slo", kNumber, util::above(0)},
+              {"json", kText, {}, "comap.json"}}}),
+       cmd_comap},
+      {"explore",
+       rows({kSearchFlags, kObsFlags,
+             {{"model", kText}, {"mapper", kText}, {"quick"},
+              {"mapping-cache", kText}, {"space", kText},
+              {"objectives", kText}, {"csv", kText}, {"json", kText},
+              {"population", kInteger, util::at_least(2)},
+              {"generations", kInteger, util::at_least(1)},
+              {"points", kInteger, util::at_least(0)},
+              {"front-size", kInteger, util::at_least(0)}}}),
+       cmd_explore},
+      {"warm",
+       rows({kProblemFlags, kSearchFlags, kObsFlags,
+             {{"model", kRepeatable}, {"models", kRepeatable},
+              {"mapper", kText}, {"full"}, {"mapping-cache", kText}}}),
+       cmd_warm},
+  };
+  return kCommands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
+  const std::string name = argc >= 2 ? argv[1] : "";
+  if (name == "help" || name == "--help" || name == "-h") {
+    usage(std::cout);
+    return 0;
+  }
+  if (name.empty()) return usage(std::cout);
+  const auto command =
+      std::find_if(commands().begin(), commands().end(),
+                   [&](const Command& c) { return c.name == name; });
+  if (command == commands().end()) {
+    std::cerr << "error: unknown command '" << name << "'\n";
+    return usage(std::cerr);
+  }
   try {
-    if (args.command == "models") return cmd_models();
-    if (args.command == "profile") return cmd_profile(args);
-    if (args.command == "map") return cmd_map(args);
-    if (args.command == "baseline") return cmd_baseline(args);
-    if (args.command == "throughput") return cmd_throughput(args);
-    if (args.command == "serve") return cmd_serve(args);
-    if (args.command == "comap") return cmd_comap(args);
-    if (args.command == "explore") return cmd_explore(args);
-    if (args.command == "warm") return cmd_warm(args);
-    if (args.command == "help" || args.command == "--help" ||
-        args.command == "-h") {
+    const util::Flags flags =
+        util::parse_flags(command->flags, {argv + 2, argv + argc});
+    if (flags.help()) {
       usage(std::cout);
       return 0;
     }
-    if (args.command.empty()) return usage(std::cout);
-    std::cerr << "error: unknown command '" << args.command << "'\n";
-    return usage(std::cerr);
+    return command->run(flags);
   } catch (const InvalidArgument& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
