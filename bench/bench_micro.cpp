@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -32,6 +33,7 @@
 #include "mars/parallel/sharding.h"
 #include "mars/plan/planner.h"
 #include "mars/topology/presets.h"
+#include "mars/util/strings.h"
 #include "mars/util/worker_pool.h"
 #include "support/mutation_stream.h"
 
@@ -256,8 +258,15 @@ std::map<std::string, double> load_floors(const std::string& path) {
     if (hash != std::string::npos) line.erase(hash);
     std::istringstream row(line);
     std::string name;
-    double floor = 0.0;
-    if (row >> name >> floor) floors[name] = floor;
+    std::string value;
+    if (!(row >> name >> value)) continue;
+    if (const std::optional<double> floor = parse_double(value)) {
+      floors[name] = *floor;
+    } else {
+      std::fprintf(stderr, "[smoke] floor file %s: bad floor '%s' for %s; "
+                   "using the built-in floor\n",
+                   path.c_str(), value.c_str(), name.c_str());
+    }
   }
   return floors;
 }

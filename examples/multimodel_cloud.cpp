@@ -5,7 +5,7 @@
 // against MARS, and exports a Chrome trace of the MARS schedule
 // (open chrome://tracing or ui.perfetto.dev on mars_schedule.json).
 //
-// Build & run:  ./build/examples/multimodel_cloud [bandwidth-gbps]
+// Build & run:  ./build/example_multimodel_cloud [bandwidth-gbps]
 #include <fstream>
 #include <iostream>
 
@@ -17,11 +17,17 @@
 #include "mars/plan/planner.h"
 #include "mars/sim/trace.h"
 #include "mars/topology/presets.h"
+#include "mars/util/strings.h"
 
 int main(int argc, char** argv) {
   using namespace mars;
 
-  const double bandwidth = argc > 1 ? std::stod(argv[1]) : 4.0;
+  const double bandwidth =
+      argc > 1 ? parse_double(argv[1]).value_or(0.0) : 4.0;
+  if (bandwidth <= 0.0) {
+    std::cerr << "usage: example_multimodel_cloud [bandwidth-gbps > 0]\n";
+    return 1;
+  }
 
   // Eight FPGAs, uniform links, four designs burnt in two-by-two.
   const topology::Topology topo = topology::h2h_cloud(8, gbps(bandwidth), 4);

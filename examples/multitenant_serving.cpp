@@ -25,7 +25,11 @@
 int main(int argc, char** argv) {
   using namespace mars;
 
-  const double rate = argc > 1 ? std::stod(argv[1]) : 60.0;
+  const double rate = argc > 1 ? parse_double(argv[1]).value_or(0.0) : 60.0;
+  if (rate <= 0.0) {
+    std::cerr << "usage: example_multitenant_serving [rate-rps > 0]\n";
+    return 1;
+  }
   const Seconds duration(5.0);
   const Seconds slo = milliseconds(60.0);
 

@@ -1,7 +1,6 @@
 #include "mars/explore/space.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "mars/topology/presets.h"
@@ -24,25 +23,10 @@ bool known_family(const std::string& name) {
   return false;
 }
 
-int parse_axis_int(const std::string& token) {
-  char* end = nullptr;
-  const long value = std::strtol(token.c_str(), &end, 10);
-  MARS_CHECK_ARG(end != token.c_str() && *end == '\0' && value >= 2 && value <= 32,
-                 "design space accs must be an integer in [2, 32], got '"
-                     << token << "'");
-  return static_cast<int>(value);
-}
-
-double parse_axis_double(const std::string& token) {
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  MARS_CHECK_ARG(end != token.c_str() && *end == '\0' && value > 0.0,
-                 "design space bw must be a positive Gb/s value, got '" << token
-                                                                       << "'");
-  return value;
-}
-
 std::string format_gbps(double gbps) { return format_double(gbps, 6); }
+// format_gbps prints every digit of a tier up to here; past it the print
+// no longer parses back to the same tier.
+constexpr double kMaxGbps = 1e6;
 
 /// Expands one `menus` token into concrete design-name lists.
 std::vector<std::vector<std::string>> expand_menu_token(const std::string& token) {
@@ -119,18 +103,27 @@ DesignSpace DesignSpace::parse(const std::string& text) {
       }
     } else if (axis == "accs") {
       for (const std::string& value : values) {
-        const int n = parse_axis_int(value);
-        if (std::find(space.accs_.begin(), space.accs_.end(), n) ==
+        const std::optional<int> n = parse_int(value);
+        MARS_CHECK_ARG(n && *n >= 2 && *n <= 32,
+                       "design space accs must be an integer in [2, 32], got '"
+                           << value << "'");
+        if (std::find(space.accs_.begin(), space.accs_.end(), *n) ==
             space.accs_.end()) {
-          space.accs_.push_back(n);
+          space.accs_.push_back(*n);
         }
       }
     } else if (axis == "bw") {
       for (const std::string& value : values) {
-        const double gbps = parse_axis_double(value);
-        if (std::find(space.bw_gbps_.begin(), space.bw_gbps_.end(), gbps) ==
+        // A tier is read as the value the spec prints, so the spec parses
+        // back to itself and no two tiers print alike.
+        std::optional<double> gbps = parse_double(value);
+        if (gbps && *gbps <= kMaxGbps) gbps = parse_double(format_gbps(*gbps));
+        MARS_CHECK_ARG(gbps && *gbps > 0.0 && *gbps <= kMaxGbps,
+                       "design space bw must be a positive Gb/s value, got '"
+                           << value << "' (at most 1e6, to 6 decimals)");
+        if (std::find(space.bw_gbps_.begin(), space.bw_gbps_.end(), *gbps) ==
             space.bw_gbps_.end()) {
-          space.bw_gbps_.push_back(gbps);
+          space.bw_gbps_.push_back(*gbps);
         }
       }
     } else if (axis == "menus") {

@@ -51,14 +51,11 @@ std::vector<std::string> tokenize(const std::string& line) {
 
 int parse_int(const ParserState& state, const std::string& token,
               const std::string& what) {
-  try {
-    std::size_t consumed = 0;
-    const int value = std::stoi(token, &consumed);
-    if (consumed != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
+  const std::optional<int> value = mars::parse_int(token);
+  if (!value) {
     state.fail("expected an integer for " + what + ", got '" + token + "'");
   }
+  return *value;
 }
 
 // Parses k<K>/s<S>/p<P> option tokens plus the `nobias` flag.

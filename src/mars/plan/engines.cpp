@@ -726,17 +726,11 @@ std::unique_ptr<SearchEngine> make_race_engine(
                      << spec << "' (use race:<m>[@seed]+<m>[@seed][+...][,MS])");
   Seconds member_wall(0.0);
   if (parts.size() == 2) {
-    std::size_t consumed = 0;
-    double ms = 0.0;
-    try {
-      ms = std::stod(parts[1], &consumed);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    MARS_CHECK_ARG(consumed == parts[1].size() && ms > 0.0,
+    const std::optional<double> ms = parse_double(parts[1]);
+    MARS_CHECK_ARG(ms && *ms > 0.0,
                    "race per-member budget must be a positive ms count, got '"
                        << parts[1] << "' in '" << spec << "'");
-    member_wall = milliseconds(ms);
+    member_wall = milliseconds(*ms);
   }
   std::vector<std::unique_ptr<SearchEngine>> members;
   for (const std::string& member : split(parts[0], '+')) {

@@ -5,6 +5,15 @@
 
 namespace mars::serve {
 
+namespace {
+
+// to_string() prints spec times in ms at 1 us resolution. Inside this
+// range every time prints to a spec that parses back to the same print.
+constexpr double kMinSpecMs = 0.001;
+constexpr double kMaxSpecMs = 1e9;
+
+}  // namespace
+
 BatchPolicy BatchPolicy::none() { return BatchPolicy{}; }
 
 BatchPolicy BatchPolicy::size(int n) {
@@ -26,44 +35,21 @@ BatchPolicy BatchPolicy::with_timeout(int max_batch, Seconds timeout) {
   return policy;
 }
 
-namespace {
-
-/// Whole-field numeric parse: rejects prefixes like "4x" that stoi/stod
-/// would silently truncate. Returns false on any parse failure.
-bool parse_int_field(const std::string& field, int& out) {
-  std::size_t consumed = 0;
-  try {
-    out = std::stoi(field, &consumed);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return consumed == field.size();
-}
-
-bool parse_double_field(const std::string& field, double& out) {
-  std::size_t consumed = 0;
-  try {
-    out = std::stod(field, &consumed);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return consumed == field.size();
-}
-
-}  // namespace
-
 BatchPolicy BatchPolicy::parse(const std::string& spec) {
   const std::vector<std::string> parts = split(spec, ':');
   if (parts.size() == 1 && parts[0] == "none") return none();
   if (parts.size() == 2 && parts[0] == "size") {
-    if (int n = 0; parse_int_field(parts[1], n)) return size(n);
+    if (const std::optional<int> n = parse_int(parts[1])) return size(*n);
   }
   if ((parts.size() == 2 || parts.size() == 3) && parts[0] == "timeout") {
-    int cap = 8;
-    double timeout_ms = 0.0;
-    if (parse_double_field(parts[1], timeout_ms) &&
-        (parts.size() == 2 || parse_int_field(parts[2], cap))) {
-      return with_timeout(cap, milliseconds(timeout_ms));
+    const std::optional<double> timeout_ms = parse_double(parts[1]);
+    const std::optional<int> cap =
+        parts.size() == 2 ? std::optional(8) : parse_int(parts[2]);
+    if (timeout_ms && cap) {
+      MARS_CHECK_ARG(*timeout_ms <= kMaxSpecMs,
+                     "batching timeout must be at most 1e9 ms, got '"
+                         << parts[1] << "'");
+      return with_timeout(*cap, milliseconds(*timeout_ms));
     }
   }
   throw InvalidArgument("bad batching policy '" + spec +
@@ -106,12 +92,17 @@ AdmissionPolicy AdmissionPolicy::parse(const std::string& spec) {
   const std::vector<std::string> parts = split(spec, ':');
   if (parts.size() == 1 && parts[0] == "none") return none();
   if (parts.size() == 2 && parts[0] == "slo") {
-    if (double ms = 0.0; parse_double_field(parts[1], ms)) {
-      return slo_aware(milliseconds(ms));
+    if (const std::optional<double> ms = parse_double(parts[1])) {
+      MARS_CHECK_ARG(*ms >= kMinSpecMs && *ms <= kMaxSpecMs,
+                     "slo admission budget must be in [0.001, 1e9] ms, got '"
+                         << parts[1] << "'");
+      return slo_aware(milliseconds(*ms));
     }
   }
   if (parts.size() == 2 && parts[0] == "shed") {
-    if (int depth = 0; parse_int_field(parts[1], depth)) return shed(depth);
+    if (const std::optional<int> depth = parse_int(parts[1])) {
+      return shed(*depth);
+    }
   }
   throw InvalidArgument("bad admission policy '" + spec +
                         "' (use none | slo:MS | shed:N)");

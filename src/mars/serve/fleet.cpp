@@ -96,50 +96,63 @@ ServeResult merge_shard_results(std::vector<ServeResult> shard_results,
   return merged;
 }
 
+void check_fleet_options(const FleetOptions& options,
+                         const std::vector<std::string>& model_names) {
+  MARS_CHECK_ARG(options.shards >= 1,
+                 "shards must be >= 1, got " << options.shards);
+  MARS_CHECK_ARG(options.threads >= 1,
+                 "threads must be >= 1, got " << options.threads);
+  if (options.shard_models.empty()) return;
+  MARS_CHECK_ARG(static_cast<int>(options.shard_models.size()) ==
+                     options.shards,
+                 "shard_models has " << options.shard_models.size()
+                                     << " entries, expected one per shard ("
+                                     << options.shards << ")");
+  const int models = static_cast<int>(model_names.size());
+  std::vector<int> hosts(model_names.size(), 0);
+  for (int s = 0; s < options.shards; ++s) {
+    const std::vector<int>& hosted =
+        options.shard_models[static_cast<std::size_t>(s)];
+    MARS_CHECK_ARG(!hosted.empty(), "shard " << s << " hosts no models");
+    for (const int m : hosted) {
+      MARS_CHECK_ARG(m >= 0 && m < models,
+                     "shard " << s << " hosts unknown model index " << m);
+      MARS_CHECK_ARG(std::count(hosted.begin(), hosted.end(), m) == 1,
+                     "shard " << s << " hosts model index " << m << " twice");
+      ++hosts[static_cast<std::size_t>(m)];
+    }
+  }
+  for (std::size_t m = 0; m < model_names.size(); ++m) {
+    MARS_CHECK_ARG(hosts[m] > 0,
+                   "model '" << model_names[m] << "' is hosted by no shard");
+  }
+}
+
 FleetScheduler::FleetScheduler(const topology::Topology& group_topo,
                                std::vector<const ModelService*> services,
                                FleetOptions options)
     : group_topo_(&group_topo),
       services_(std::move(services)),
       options_(std::move(options)) {
-  MARS_CHECK_ARG(options_.shards >= 1,
-                 "shards must be >= 1, got " << options_.shards);
-  MARS_CHECK_ARG(options_.threads >= 1,
-                 "threads must be >= 1, got " << options_.threads);
-  const int fleet_models = static_cast<int>(services_.size());
+  std::vector<std::string> names;
+  names.reserve(services_.size());
+  for (const ModelService* service : services_) {
+    names.push_back(service->name());
+  }
+  check_fleet_options(options_, names);
   if (heterogeneous()) {
-    MARS_CHECK_ARG(static_cast<int>(options_.shard_models.size()) ==
-                       options_.shards,
-                   "shard_models has " << options_.shard_models.size()
-                                       << " entries, expected one per shard ("
-                                       << options_.shards << ")");
-    model_hosts_.assign(static_cast<std::size_t>(fleet_models), {});
-    fleet_to_local_.assign(
-        static_cast<std::size_t>(options_.shards),
-        std::vector<int>(static_cast<std::size_t>(fleet_models), -1));
+    model_hosts_.assign(services_.size(), {});
+    fleet_to_local_.assign(static_cast<std::size_t>(options_.shards),
+                           std::vector<int>(services_.size(), -1));
     for (int s = 0; s < options_.shards; ++s) {
       const std::vector<int>& hosted =
           options_.shard_models[static_cast<std::size_t>(s)];
-      MARS_CHECK_ARG(!hosted.empty(),
-                     "shard " << s << " hosts no models");
       for (std::size_t local = 0; local < hosted.size(); ++local) {
-        const int m = hosted[local];
-        MARS_CHECK_ARG(m >= 0 && m < fleet_models,
-                       "shard " << s << " hosts unknown model index " << m);
-        MARS_CHECK_ARG(
-            fleet_to_local_[static_cast<std::size_t>(s)]
-                           [static_cast<std::size_t>(m)] < 0,
-            "shard " << s << " hosts model index " << m << " twice");
-        fleet_to_local_[static_cast<std::size_t>(s)]
-                       [static_cast<std::size_t>(m)] =
+        const auto m = static_cast<std::size_t>(hosted[local]);
+        fleet_to_local_[static_cast<std::size_t>(s)][m] =
             static_cast<int>(local);
-        model_hosts_[static_cast<std::size_t>(m)].push_back(s);
+        model_hosts_[m].push_back(s);
       }
-    }
-    for (int m = 0; m < fleet_models; ++m) {
-      MARS_CHECK_ARG(!model_hosts_[static_cast<std::size_t>(m)].empty(),
-                     "model '" << services_[static_cast<std::size_t>(m)]->name()
-                               << "' is hosted by no shard");
     }
   }
   shard_schedulers_.reserve(static_cast<std::size_t>(options_.shards));

@@ -30,6 +30,7 @@
 // configuration against.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "mars/serve/scheduler.h"
@@ -86,14 +87,23 @@ struct FleetPartition {
 [[nodiscard]] ServeResult merge_shard_results(
     std::vector<ServeResult> shard_results, int group_accelerators);
 
+/// Throws InvalidArgument unless `options` suits a fleet serving
+/// `model_names` (fleet index order): shards and threads >= 1, and a
+/// non-empty shard_models has one non-empty entry per shard, each hosting
+/// known models at most once, with every model hosted somewhere. The
+/// FleetScheduler constructor runs it; callers may run it first to reject
+/// a configuration before planning any service.
+void check_fleet_options(const FleetOptions& options,
+                         const std::vector<std::string>& model_names);
+
 /// `shards` replica groups, each an OnlineScheduler over the *same* group
 /// topology and services (replica groups are identical by construction —
 /// plan once, share read-only).
 class FleetScheduler {
  public:
   /// `group_topo` is the topology of ONE replica group; `services` were
-  /// planned on it and must outlive the scheduler. Throws on shards < 1
-  /// or threads < 1.
+  /// planned on it and must outlive the scheduler. Throws what
+  /// check_fleet_options throws.
   FleetScheduler(const topology::Topology& group_topo,
                  std::vector<const ModelService*> services,
                  FleetOptions options = {});

@@ -28,8 +28,9 @@ int resolve_model(const std::string& name,
   for (std::size_t i = 0; i < model_names.size(); ++i) {
     if (model_names[i] == name) return static_cast<int>(i);
   }
-  MARS_THROW("trace names model '" << name << "' which is not served; serving: "
-                                   << join(model_names, ", "));
+  throw InvalidArgument("trace names model '" + name +
+                        "' which is not served; serving: " +
+                        join(model_names, ", "));
 }
 
 }  // namespace
@@ -100,15 +101,13 @@ std::vector<Request> replay_trace(std::istream& in,
     const bool is_first_content = !seen_content;
     seen_content = true;
     if (is_first_content && fields[0] == "arrival_s") continue;  // header
-    Request request;
-    try {
-      request.arrival = Seconds(std::stod(fields[0]));
-    } catch (const std::exception&) {
-      throw InvalidArgument("trace line " + std::to_string(line_no) +
-                            ": bad arrival time '" + fields[0] + "'");
-    }
-    MARS_CHECK_ARG(request.arrival.count() >= 0.0,
+    const std::optional<double> arrival = parse_double(fields[0]);
+    MARS_CHECK_ARG(arrival, "trace line " << line_no << ": bad arrival time '"
+                                          << fields[0] << "'");
+    MARS_CHECK_ARG(*arrival >= 0.0,
                    "trace line " << line_no << ": negative arrival time");
+    Request request;
+    request.arrival = Seconds(*arrival);
     request.model = resolve_model(fields[1], model_names);
     requests.push_back(request);
   }

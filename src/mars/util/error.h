@@ -1,14 +1,16 @@
 // Error handling primitives for MARS.
 //
 // MARS uses exceptions for error reporting (invalid user input, violated
-// invariants). `Error` carries a formatted message with the failing source
-// location; the MARS_CHECK / MARS_THROW macros are the preferred entry
-// points so that every failure names the condition that broke.
+// invariants). A failed MARS_CHECK is a MARS bug: its InternalError message
+// names the condition and source location. A failed MARS_CHECK_ARG is a
+// user error: its InvalidArgument message is the check's message alone,
+// and the condition and location move to origin().
 #pragma once
 
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace mars {
 
@@ -18,10 +20,19 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Raised when a caller violates a documented precondition.
+/// Raised when a caller violates a documented precondition. what() is the
+/// plain message, fit to show a user as is; origin() names the failed check
+/// and its source location ("MARS_CHECK_ARG failed: (n >= 1) at
+/// <file>:<line>"), and is empty for an InvalidArgument thrown directly.
 class InvalidArgument : public Error {
  public:
-  explicit InvalidArgument(const std::string& what) : Error(what) {}
+  explicit InvalidArgument(const std::string& what, std::string origin = {})
+      : Error(what), origin_(std::move(origin)) {}
+
+  [[nodiscard]] const std::string& origin() const { return origin_; }
+
+ private:
+  std::string origin_;
 };
 
 /// Raised when an internal invariant breaks (a MARS bug, not a user error).
@@ -37,8 +48,10 @@ namespace detail {
                                              const std::string& msg) {
   std::ostringstream os;
   os << kind << " failed: (" << cond << ") at " << file << ':' << line;
+  if (std::string(kind) == "MARS_CHECK_ARG") {
+    throw InvalidArgument(msg.empty() ? cond : msg, os.str());
+  }
   if (!msg.empty()) os << " — " << msg;
-  if (std::string(kind) == "MARS_CHECK_ARG") throw InvalidArgument(os.str());
   throw InternalError(os.str());
 }
 
@@ -56,7 +69,8 @@ namespace detail {
     }                                                                          \
   } while (false)
 
-/// Check a caller-supplied precondition; throws InvalidArgument on failure.
+/// Check a caller-supplied precondition; throws InvalidArgument on failure,
+/// whose what() is `msg` (the condition text when `msg` is empty).
 #define MARS_CHECK_ARG(cond, msg)                                              \
   do {                                                                         \
     if (!(cond)) {                                                             \

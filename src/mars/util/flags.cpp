@@ -1,7 +1,6 @@
 #include "mars/util/flags.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <optional>
 
@@ -14,11 +13,7 @@ namespace {
 /// The value of a kNumber (finite) or kInteger (int) flag, or nullopt.
 std::optional<double> to_number(const std::string& text, FlagKind kind) {
   if (kind == FlagKind::kNumber) return parse_double(text);
-  int value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end) return std::nullopt;
-  return value;
+  return parse_int(text);
 }
 
 /// The range as an interval: "(0, inf)", "[1, 1024]".

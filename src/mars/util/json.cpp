@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "mars/util/error.h"
+#include "mars/util/strings.h"
 
 namespace mars {
 
@@ -385,38 +386,22 @@ class Parser {
 
   JsonValue parse_number() {
     const std::size_t start = pos_;
-    bool integral = true;
     if (peek() == '+') fail("JSON numbers cannot start with '+'");
-    if (text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = false;
-        ++pos_;
-      } else {
+      if ((c < '0' || c > '9') && c != '.' && c != 'e' && c != 'E' &&
+          c != '+' && c != '-') {
         break;
       }
+      ++pos_;
     }
     const std::string token = text_.substr(start, pos_ - start);
-    std::size_t consumed = 0;
-    if (integral) {
-      try {
-        const long long value = std::stoll(token, &consumed);
-        if (consumed == token.size()) return JsonValue::integer(value);
-      } catch (const std::out_of_range&) {
-        integral = false;  // magnitude overflow: fall back to double
-      } catch (const std::exception&) {
-        consumed = 0;
-      }
+    // An integer too large for long long falls back to a double.
+    if (const std::optional<long long> value = parse_int<long long>(token)) {
+      return JsonValue::integer(*value);
     }
-    if (!integral || consumed != token.size()) {
-      try {
-        const double value = std::stod(token, &consumed);
-        if (consumed == token.size()) return JsonValue::number(value);
-      } catch (const std::exception&) {
-      }
+    if (const std::optional<double> value = parse_double(token)) {
+      return JsonValue::number(*value);
     }
     fail("invalid number '" + token + "'");
   }

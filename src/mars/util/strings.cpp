@@ -69,12 +69,20 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return out;
 }
 
-std::optional<std::uint64_t> parse_u64(const std::string& text) {
-  std::uint64_t value = 0;
+template <typename Int>
+std::optional<Int> parse_int(const std::string& text) {
+  Int value = 0;
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
   if (text.empty() || error != std::errc() || stop != end) return std::nullopt;
   return value;
+}
+template std::optional<int> parse_int(const std::string&);
+template std::optional<long long> parse_int(const std::string&);
+template std::optional<std::uint64_t> parse_int(const std::string&);
+
+std::optional<std::uint64_t> parse_u64(const std::string& text) {
+  return parse_int<std::uint64_t>(text);
 }
 
 std::optional<double> parse_double(const std::string& text) {

@@ -28,12 +28,21 @@ namespace mars {
 /// Split on a single character, keeping empty fields.
 [[nodiscard]] std::vector<std::string> split(const std::string& text, char sep);
 
-/// `text` as a decimal uint64 when it is one whole: digits only (no sign,
-/// space or prefix) and at most 2^64 - 1. nullopt otherwise.
+// The only text-to-number conversions in MARS. Every spec grammar, input
+// file and flag reads its numbers through these, so all of them share one
+// rule: the whole field is one decimal number, with no space, '+' sign,
+// hex prefix or trailing text, and (for doubles) finite, so "nan" and
+// "inf" are rejected. Each returns nullopt for anything else.
+
+/// `text` as a decimal `Int` (int, long long or std::uint64_t): digits,
+/// with a leading '-' allowed for a signed Int, inside Int's range.
+template <typename Int = int>
+[[nodiscard]] std::optional<Int> parse_int(const std::string& text);
+
+/// parse_int<std::uint64_t>: digits only, at most 2^64 - 1.
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& text);
 
-/// `text` as a finite double when it is one whole decimal number (no space
-/// or '+' sign; "nan" and "inf" are not finite). nullopt otherwise.
+/// `text` as a finite decimal double.
 [[nodiscard]] std::optional<double> parse_double(const std::string& text);
 
 }  // namespace mars

@@ -1,12 +1,12 @@
 #!/bin/sh
 # The mars_map usage-error contract: every bad invocation below must exit 1,
-# print the expected named error on stderr, and print no raw check or
-# conversion text (MARS_CHECK, stoi, stod, std::).
+# print the expected named error on stderr, print nothing on stdout, and
+# print no raw check or conversion text (MARS_CHECK, stoi, stod, std::).
 #
 #   sh tests/cli/usage_errors.sh /abs/path/to/mars_map
 #
-# Every case fails while its flags are parsed or the problem is set up, so
-# no search runs.
+# Every case fails while its flags, specs and input files are read, before
+# any search runs or any report line is printed.
 set -u
 mars_map=$1
 work=$(mktemp -d)
@@ -30,6 +30,8 @@ expect() {
     fail "exit $status, want 1" "$*"
   elif ! grep -qF -- "$want" err.txt; then
     fail "stderr lacks '$want'" "$*"
+  elif [ -s out.txt ]; then
+    fail "stdout not empty" "$*"
   elif grep -qE 'MARS_CHECK|stoi|stod|std::' err.txt; then
     fail "raw check or std:: text" "$*"
   fi
@@ -70,6 +72,46 @@ expect "error: --topology 'cloud:100000:8' needs an integer count of 1 to 64" \
 expect "error: unknown model 'lenet'" map --model lenet --quick
 expect "error: bad --model weight" \
   serve --model alexnet:nan --mapper baseline --duration 1
+expect "error: size-N batching needs N >= 1, got 0" \
+  serve --model alexnet --mapper baseline --policy size:0
+expect "error: batching timeout must be >= 0" \
+  serve --model alexnet --mapper baseline --policy timeout:-1
+expect "error: bad batching policy 'timeout:0x1'" \
+  serve --model alexnet --mapper baseline --policy timeout:0x1
+expect "error: bad admission policy 'slo:inf'" \
+  serve --model alexnet --mapper baseline --policy slo:inf
+expect "error: design space accs must be an integer in [2, 32], got '100'" \
+  explore --quick --space accs=100
+expect "error: design space bw must be a positive Gb/s value, got 'abc'" \
+  explore --quick --space bw=abc
+expect "error: design space bw must be a positive Gb/s value, got 'inf'" \
+  explore --quick --space bw=inf
+expect "error: race member seed must be a non-negative integer, got 'x'" \
+  map --model alexnet --quick --mapper race:ga@x+anneal
+expect "error: race per-member budget must be a positive ms count, got '0x10'" \
+  map --model alexnet --quick --mapper race:ga+anneal,0x10
+
+# Input files, read before any planning.
+expect "error: cannot open model file '/nonexistent'" \
+  map --model-file /nonexistent --quick
+expect "error: cannot open trace file '/nonexistent.csv'" \
+  serve --model alexnet --mapper baseline --replay /nonexistent.csv
+for arrival in inf nan 0x10 1.5x +1; do
+  printf 'arrival_s,model\n%s,alexnet\n' "$arrival" > trace.csv
+  expect "error: trace line 2: bad arrival time '$arrival'" \
+    serve --model alexnet --mapper baseline --replay trace.csv
+done
+printf '0.5,vgg16\n' > trace.csv
+expect "error: trace names model 'vgg16' which is not served" \
+  serve --model alexnet --mapper baseline --replay trace.csv
+: > plain_file
+expect "error: cannot create mapping cache directory 'plain_file'" \
+  warm --models alexnet --mapping-cache plain_file
+expect "error: --shard-models references 'nosuch'" \
+  serve --model alexnet --topology cloud:8:4 --shards 2 --shard-models nosuch
+expect "error: shard_models has 1 entries, expected one per shard (2)" \
+  serve --model alexnet --model resnet50 --topology cloud:8:4 --shards 2 \
+  --shard-models alexnet+resnet50
 
 # `<command> --help` prints the usage text and exits 0.
 if ! "$mars_map" map --help > out.txt 2> err.txt ||
@@ -81,4 +123,4 @@ if [ "$failures" -ne 0 ]; then
   echo "$failures usage-error case(s) failed"
   exit 1
 fi
-echo "all usage-error cases exit 1 with a named error"
+echo "all usage-error cases exit 1 with a named error and no stdout"

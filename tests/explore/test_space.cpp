@@ -37,6 +37,12 @@ TEST(DesignSpace, DefaultSpecRoundTrips) {
                                "families=clique,ring,grouped2")
                 .spec(),
             space.spec());
+  // A bw tier is the value its spec prints (6 decimals), so tiers that
+  // print alike are one tier.
+  const DesignSpace close = DesignSpace::parse("bw=2,2.0000001,0.0000015");
+  EXPECT_NE(close.spec().find(";bw=2,0.000002;"), std::string::npos)
+      << close.spec();
+  EXPECT_EQ(DesignSpace::parse(close.spec()).spec(), close.spec());
 }
 
 TEST(DesignSpace, EnumerationIsPresetPrefixPlusRowMajorGrid) {
@@ -85,6 +91,14 @@ TEST(DesignSpace, NamedErrors) {
                "accs must be an integer in [2, 32], got 'two'");
   expect_error([] { (void)DesignSpace::parse("bw=-4"); },
                "bw must be a positive Gb/s value, got '-4'");
+  expect_error([] { (void)DesignSpace::parse("bw=inf"); },
+               "bw must be a positive Gb/s value, got 'inf'");
+  expect_error([] { (void)DesignSpace::parse("bw=1e-9"); },
+               "bw must be a positive Gb/s value, got '1e-9'");
+  expect_error([] { (void)DesignSpace::parse("bw=1e100"); },
+               "bw must be a positive Gb/s value, got '1e100'");
+  expect_error([] { (void)DesignSpace::parse("accs=0x8"); },
+               "accs must be an integer in [2, 32], got '0x8'");
   expect_error([] { (void)DesignSpace::parse("menus=mystery"); },
                "got 'mystery'");
   expect_error([] { (void)DesignSpace::parse("menus=SuperLIP+SuperLIP"); },

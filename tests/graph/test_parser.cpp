@@ -109,8 +109,17 @@ TEST(Parser, RejectsMalformedInput) {
   EXPECT_THROW(
       (void)parse_model("model m\ninput i 3 8 8\nconv i i 4 k3\n"),
       InvalidArgument);  // duplicate name
-  EXPECT_THROW((void)parse_model("model m\ninput i 3 8 8\nconv c i four k3\n"),
-               InvalidArgument);  // non-integer
+  // Integers are whole decimals: no sign '+', hex or trailing text.
+  for (const char* conv :
+       {"conv c i four k3", "conv c i +4 k3", "conv c i 0x4 k3",
+        "conv c i 4 k+3", "conv c i 4 k3x", "conv c i 99999999999 k3"}) {
+    EXPECT_THROW((void)parse_model(std::string("model m\ninput i 3 8 8\n") +
+                                   conv + "\n"),
+                 InvalidArgument)
+        << conv;
+  }
+  EXPECT_THROW((void)parse_model("model m\ninput i +3 8 8\n"),
+               InvalidArgument);
 }
 
 TEST(Parser, ParsedModelIsMappable) {

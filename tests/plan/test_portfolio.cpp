@@ -217,7 +217,8 @@ TEST_F(PortfolioTest, BadRaceSpecsAreNamedErrors) {
        {"race:ga", "race:ga+gradient", "race:ga+anneal,abc",
         "race:ga+anneal,-5", "race:portfolio+ga", "race:ga+anneal,1,2",
         "race:ga@x+anneal", "race:ga@+anneal", "race:ga@-5+anneal",
-        "race:ga@7.5+anneal"}) {
+        "race:ga@7.5+anneal", "race:ga+anneal,inf", "race:ga+anneal,0x10",
+        "race:ga+anneal,nan", "race:ga+anneal,+5", "race:ga+anneal,5ms"}) {
     try {
       (void)make_engine(spec, tiny_tuning());
       FAIL() << "expected InvalidArgument for '" << spec << "'";

@@ -37,7 +37,8 @@ TEST(BatchPolicy, ParseRejectsGarbage) {
   for (const char* spec :
        {"", "sized", "size", "size:0", "size:x", "size:4x", "timeout",
         "timeout:-1", "timeout:2ms:8", "timeout:1:0", "timeout:1:2:3",
-        "none:1"}) {
+        "none:1", "timeout:0x1", "timeout:nan", "size:+4", "size: 4",
+        "timeout:1:0x8", "timeout:6e90"}) {
     EXPECT_THROW((void)BatchPolicy::parse(spec), InvalidArgument) << spec;
   }
 }
@@ -135,7 +136,8 @@ TEST(AdmissionPolicy, ParseRoundTrips) {
 TEST(AdmissionPolicy, ParseRejectsGarbage) {
   for (const char* spec : {"", "slo", "slo:", "slo:0", "slo:-5", "slo:60ms",
                            "shed", "shed:0", "shed:-1", "shed:4x", "drop:3",
-                           "none:1", "slo:60:1"}) {
+                           "none:1", "slo:60:1", "slo:inf", "slo:nan",
+                           "slo:0x10", "shed:+4", "slo:1e-9", "slo:6e90"}) {
     EXPECT_THROW((void)AdmissionPolicy::parse(spec), InvalidArgument) << spec;
   }
 }

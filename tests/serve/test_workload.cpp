@@ -113,15 +113,20 @@ TEST(TraceReplay, RejectsMalformedRows) {
   const std::vector<std::string> served = {"alexnet"};
   {
     std::istringstream trace("arrival_s,model\n0.1,vgg16\n");
-    EXPECT_THROW((void)replay_trace(trace, served), Error);
+    EXPECT_THROW((void)replay_trace(trace, served), InvalidArgument);
   }
   {
     std::istringstream trace("arrival_s,model\n0.1\n");
     EXPECT_THROW((void)replay_trace(trace, served), InvalidArgument);
   }
-  {
-    std::istringstream trace("arrival_s,model\nnot_a_number,alexnet\n");
-    EXPECT_THROW((void)replay_trace(trace, served), InvalidArgument);
+  // Arrival times are whole finite decimals: no hex, sign '+', spaces or
+  // trailing text.
+  for (const char* arrival : {"not_a_number", "inf", "nan", "0x10", "1.5x",
+                              "+1", " 1", "1 ", ""}) {
+    std::istringstream trace(std::string("arrival_s,model\n") + arrival +
+                             ",alexnet\n");
+    EXPECT_THROW((void)replay_trace(trace, served), InvalidArgument)
+        << "'" << arrival << "'";
   }
   {
     std::istringstream trace("arrival_s,model\n-0.1,alexnet\n");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "mars/util/error.h"
 
 namespace mars {
@@ -77,6 +79,12 @@ TEST(JsonParse, Leaves) {
   EXPECT_TRUE(JsonValue::parse("42").is_integer());
   EXPECT_DOUBLE_EQ(JsonValue::parse("42").as_number(), 42.0);
   EXPECT_FALSE(JsonValue::parse("42.0").is_integer());
+  // An integer past long long's range falls back to a double.
+  EXPECT_EQ(JsonValue::parse("-9223372036854775808").as_integer(),
+            std::numeric_limits<long long>::min());
+  const JsonValue huge = JsonValue::parse("92233720368547758070");
+  EXPECT_FALSE(huge.is_integer());
+  EXPECT_DOUBLE_EQ(huge.as_number(), 9.223372036854775807e19);
 }
 
 TEST(JsonParse, Containers) {
@@ -120,7 +128,8 @@ TEST(JsonParse, RejectsMalformedInput) {
   for (const char* text :
        {"", "   ", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "tru", "nul", "+1",
         "1.2.3", "\"unterminated", "\"bad \\q escape\"", "\"\\u12\"",
-        "\"\\ud800\"", "[1] trailing", "{'a':1}", "[01x]"}) {
+        "\"\\ud800\"", "[1] trailing", "{'a':1}", "[01x]", "1e999", "-",
+        "0x10", "[1e]"}) {
     EXPECT_THROW((void)JsonValue::parse(text), InvalidArgument) << text;
   }
 }

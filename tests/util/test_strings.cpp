@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace mars {
 namespace {
 
@@ -64,6 +66,23 @@ TEST(ParseU64, RejectsEverythingElse) {
                            "1.0", "18446744073709551616"}) {
     EXPECT_EQ(parse_u64(text), std::nullopt) << "'" << text << "'";
   }
+}
+
+TEST(ParseInt, AcceptsWholeDecimalsInRange) {
+  EXPECT_EQ(parse_int("0"), 0);
+  EXPECT_EQ(parse_int("-42"), -42);
+  EXPECT_EQ(parse_int("2147483647"), 2147483647);
+  EXPECT_EQ(parse_int<long long>("-9223372036854775808"),
+            std::numeric_limits<long long>::min());
+  EXPECT_EQ(parse_int<long long>("2147483648"), 2147483648LL);
+}
+
+TEST(ParseInt, RejectsEverythingElse) {
+  for (const char* text : {"", "abc", "-", "+1", " 1", "1 ", "1x", "0x10",
+                           "1.0", "1e3", "2147483648", "-2147483649"}) {
+    EXPECT_EQ(parse_int(text), std::nullopt) << "'" << text << "'";
+  }
+  EXPECT_EQ(parse_int<long long>("9223372036854775808"), std::nullopt);
 }
 
 TEST(ParseDouble, AcceptsWholeFiniteDecimals) {

@@ -471,8 +471,9 @@ int cmd_serve(const util::Flags& flags) {
       plan::make_engine(flags.text("mapper", "ga"), config);
   const plan::Budget search_budget = make_budget(flags);
 
-  // Parse every workload spec before the (expensive) per-model planning
-  // so usage errors fail fast.
+  // Parse every workload spec, read the replay trace and check the fleet
+  // layout before the (expensive) per-model planning so usage errors fail
+  // fast, before any output.
   const serve::PolicySpec policy =
       serve::PolicySpec::parse(flags.text("policy", "none"));
   serve::SchedulerOptions options;
@@ -494,6 +495,20 @@ int cmd_serve(const util::Flags& flags) {
                           " with --clients needs --think > 0 ms (a rejected "
                           "client would retry at the same instant forever)");
   }
+
+  serve::FleetOptions fleet_options;
+  fleet_options.shards = partition.shards;
+  fleet_options.threads = config.threads;
+  fleet_options.scheduler = options;
+  if (flags.has("shard-models")) {
+    fleet_options.shard_models =
+        parse_shard_models(flags.text("shard-models"), names);
+  }
+  serve::check_fleet_options(fleet_options, names);
+  const std::vector<serve::Request> replay =
+      flags.has("replay")
+          ? serve::replay_trace_file(flags.text("replay"), names)
+          : std::vector<serve::Request>{};
 
   // Optional persistent mapping cache: repeat startups on the same
   // (topology, designs, config) load the searched mappings instead of
@@ -540,20 +555,11 @@ int cmd_serve(const util::Flags& flags) {
   for (const std::unique_ptr<serve::ModelService>& service : services) {
     refs.push_back(service.get());
   }
-  serve::FleetOptions fleet_options;
-  fleet_options.shards = partition.shards;
-  fleet_options.threads = config.threads;
-  fleet_options.scheduler = options;
-  if (flags.has("shard-models")) {
-    fleet_options.shard_models =
-        parse_shard_models(flags.text("shard-models"), names);
-  }
   const serve::FleetScheduler scheduler(topo, refs, fleet_options);
 
   serve::ServeResult result;
   if (flags.has("replay")) {
-    result =
-        scheduler.run(serve::replay_trace_file(flags.text("replay"), names));
+    result = scheduler.run(replay);
   } else if (flags.has("clients")) {
     const serve::ClosedLoopSpec spec =
         serve::make_closed_loop(weights, clients, think);
