@@ -1,18 +1,21 @@
 #include "mars/comap/engine.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <utility>
 
 #include "mars/core/first_level.h"
 #include "mars/core/skeleton_space.h"
+#include "mars/obs/metrics.h"
 #include "mars/plan/engines.h"
 #include "mars/serve/service.h"
 #include "mars/util/error.h"
+#include "mars/util/hash.h"
 #include "mars/util/logging.h"
+#include "mars/util/memo_batch.h"
 #include "mars/util/rng.h"
 #include "mars/util/worker_pool.h"
 
@@ -30,6 +33,27 @@ core::Skeleton skeleton_of(const core::Mapping& mapping) {
   }
   return skeleton;
 }
+
+/// One tenant's plan within one fleet slice, memoised per (tenant,
+/// placement); placement 0 is the full fleet.
+using InnerKey = std::pair<std::size_t, topology::AccMask>;
+struct InnerKeyHash {
+  std::size_t operator()(const InnerKey& key) const {
+    return util::fnv1a_word(key.second,
+                            util::fnv1a_word(key.first, util::kFnvOffset));
+  }
+};
+struct InnerPlan {
+  core::Mapping mapping;
+  plan::Provenance provenance;
+};
+/// A new key's pricing input: its mapping-cache hit, when the probe found
+/// one; otherwise the sweep searches the slice.
+struct InnerJob {
+  InnerKey key;
+  std::optional<core::Mapping> cached;
+};
+using InnerMemo = util::MemoBatch<InnerKey, InnerPlan, InnerJob, InnerKeyHash>;
 
 }  // namespace
 
@@ -129,66 +153,103 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
   const topology::AccMask full = topo.full_mask();
 
   ServingObjective objective(problem);
-  const plan::GaEngine inner_engine(config_.inner);
   plan::BudgetMeter meter(budget);
+  // One pool prices both the inner plans and the rollouts.
   std::unique_ptr<util::WorkerPool> pool;
   if (config_.threads > 1) {
     pool = std::make_unique<util::WorkerPool>(config_.threads);
   }
 
   // ---- per-(tenant, slice) inner plans, memoised and cache-composed ----
-  struct InnerPlan {
-    core::Mapping mapping;
-    plan::Provenance provenance;
+  // Each inner search runs single-threaded; a sweep fans its distinct
+  // (tenant, slice) searches across the pool instead.
+  core::MarsConfig inner_config = config_.inner;
+  inner_config.threads = 1;
+  const plan::GaEngine inner_engine(inner_config);
+  obs::Counter inner_hits;
+  obs::Counter inner_misses;
+  InnerMemo inner(&inner_hits, &inner_misses);
+  // Full-fleet slices use placement 0 so their cache identity is the
+  // historical unsliced fingerprint.
+  const auto key_of = [&](std::size_t t, topology::AccMask slice) {
+    return InnerKey{t, slice == full ? 0 : slice};
   };
-  std::map<std::pair<std::size_t, topology::AccMask>, InnerPlan> inner;
-  const auto plan_within = [&](std::size_t t,
-                               topology::AccMask slice) -> const InnerPlan& {
-    // Full-fleet slices use placement 0 so their cache identity is the
-    // historical unsliced fingerprint.
-    const topology::AccMask placement = slice == full ? 0 : slice;
-    const auto key = std::make_pair(t, placement);
-    if (const auto it = inner.find(key); it != inner.end()) return it->second;
+  const auto inner_spec = [&](topology::AccMask placement) {
+    return serve::search_spec(inner_engine, plan::Budget{}, placement);
+  };
 
-    InnerPlan result;
-    std::optional<serve::MappingCache::Key> cache_key;
-    if (cache != nullptr) {
-      const std::string spec =
-          serve::search_spec(inner_engine, plan::Budget{}, placement);
-      cache_key = serve::MappingCache::Key{
-          problem.tenants[t].model,
-          serve::MappingCache::fingerprint(topo, *problem.designs,
-                                           problem.adaptive, spec)};
-      if (std::optional<core::Mapping> cached =
-              cache->load(*cache_key, objective.planner(t).spine(), topo,
-                          *problem.designs, problem.adaptive)) {
-        result.mapping = *std::move(cached);
-        result.provenance.engine = inner_engine.name();
-        result.provenance.spec = spec;
-        return inner.emplace(key, std::move(result)).first->second;
-      }
+  // Plans every key in one sweep; returns each key's plan, in order.
+  // Mapping-cache loads run in the serial probe (once per new key), and
+  // stores follow the parallel searches in first-seen key order.
+  const auto plan_all = [&](const std::vector<InnerKey>& keys) {
+    InnerMemo::Sweep sweep = inner.sweep();
+    std::vector<InnerMemo::Ticket> tickets;
+    tickets.reserve(keys.size());
+    // Per new key, by slot: its tenant, and the cache key its plan is
+    // stored under once searched (none without a cache or on a hit).
+    struct Store {
+      std::size_t tenant;
+      std::optional<serve::MappingCache::Key> key;
+    };
+    std::vector<Store> stores;
+    for (const InnerKey& key : keys) {
+      tickets.push_back(sweep.probe_with(key, [&] {
+        InnerJob job{key, std::nullopt};
+        std::optional<serve::MappingCache::Key> store;
+        if (cache != nullptr) {
+          store = serve::MappingCache::Key{
+              problem.tenants[key.first].model,
+              serve::MappingCache::fingerprint(topo, *problem.designs,
+                                               problem.adaptive,
+                                               inner_spec(key.second))};
+          job.cached =
+              cache->load(*store, objective.planner(key.first).spine(), topo,
+                          *problem.designs, problem.adaptive);
+          if (job.cached.has_value()) store.reset();
+        }
+        stores.push_back({key.first, std::move(store)});
+        return job;
+      }));
     }
-
-    core::Problem sliced = objective.planner(t).problem();
-    sliced.placement = placement;
-    plan::PlanResult planned = inner_engine.search(sliced);
-    result.mapping = std::move(planned.mapping);
-    result.provenance = std::move(planned.provenance);
-    // Same rule as ModelService: a cancelled search's truncated mapping
-    // must never poison the complete-search fingerprint. (Inner searches
-    // here are unbudgeted, so this only guards future config changes.)
-    if (cache_key.has_value() &&
-        result.provenance.stopped != plan::StopReason::kCancelled) {
+    const std::vector<const InnerPlan*>& planned =
+        sweep.resolve(pool.get(), [&](const InnerJob& job) {
+          if (job.cached.has_value()) {
+            plan::Provenance provenance;
+            provenance.engine = inner_engine.name();
+            provenance.spec = inner_spec(job.key.second);
+            return InnerPlan{*job.cached, std::move(provenance)};
+          }
+          core::Problem sliced = objective.planner(job.key.first).problem();
+          sliced.placement = job.key.second;
+          plan::PlanResult searched = inner_engine.search(sliced);
+          return InnerPlan{std::move(searched.mapping),
+                           std::move(searched.provenance)};
+        });
+    for (std::size_t slot = 0; slot < stores.size(); ++slot) {
+      // Same rule as ModelService: a cancelled search's truncated mapping
+      // must never poison the complete-search fingerprint. (Inner searches
+      // here are unbudgeted, so this only guards future config changes.)
+      if (!stores[slot].key.has_value() ||
+          planned[slot]->provenance.stopped == plan::StopReason::kCancelled) {
+        continue;
+      }
+      const std::size_t t = stores[slot].tenant;
       try {
-        cache->store(*cache_key, result.mapping, objective.planner(t).spine(),
-                     *problem.designs, problem.adaptive);
+        cache->store(*stores[slot].key, planned[slot]->mapping,
+                     objective.planner(t).spine(), *problem.designs,
+                     problem.adaptive);
       } catch (const std::exception& e) {
         MARS_WARN << "mapping cache store failed for '"
                   << problem.tenants[t].model
                   << "' (comap continues uncached): " << e.what();
       }
     }
-    return inner.emplace(key, std::move(result)).first->second;
+    std::vector<const InnerPlan*> plans;
+    plans.reserve(tickets.size());
+    for (const InnerMemo::Ticket& ticket : tickets) {
+      plans.push_back(&sweep[ticket]);
+    }
+    return plans;
   };
 
   // ---- encoding: genome size, decode, seeds ----------------------------
@@ -210,35 +271,56 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
     }
   }
 
-  // Decode + materialise one genome into a candidate (serial, memoised —
-  // inner plans for partition, the per-tenant second level for
-  // interleave). Returns the per-tenant slice masks alongside (full fleet
-  // for interleave).
-  const auto materialize = [&](const ga::Genome& genome)
-      -> std::pair<CandidatePlan, std::vector<topology::AccMask>> {
-    CandidatePlan plan(num_tenants);
-    std::vector<topology::AccMask> masks(num_tenants, full);
-    if (config_.encoding == Encoding::kPartition) {
-      masks = decode_partition_genome(genome, num_tenants, topo.size());
+  // The (tenant, slice) keys of partition genomes, genome-major.
+  const auto slice_keys = [&](std::span<const ga::Genome> genomes) {
+    std::vector<InnerKey> keys;
+    keys.reserve(genomes.size() * num_tenants);
+    for (const ga::Genome& genome : genomes) {
+      const std::vector<topology::AccMask> masks =
+          decode_partition_genome(genome, num_tenants, topo.size());
       for (std::size_t t = 0; t < num_tenants; ++t) {
-        plan[t] = plan_within(t, masks[t]).mapping;
-      }
-    } else {
-      for (std::size_t t = 0; t < num_tenants; ++t) {
-        const int begin = slice_offset[t];
-        const int size = spaces[t]->codec().genome_size();
-        const ga::Genome slice(genome.begin() + begin,
-                               genome.begin() + begin + size);
-        plan[t] = spaces[t]->complete(spaces[t]->codec().decode(slice));
+        keys.push_back(key_of(t, masks[t]));
       }
     }
-    return {std::move(plan), std::move(masks)};
+    return keys;
+  };
+
+  // Decode + materialise genomes into candidates: partition plans the
+  // whole batch's (tenant, slice) keys in one sweep; interleave completes
+  // each tenant's skeleton through its memoised second level (serial).
+  const auto materialize = [&](std::span<const ga::Genome> genomes) {
+    std::vector<CandidatePlan> plans(genomes.size(),
+                                     CandidatePlan(num_tenants));
+    if (config_.encoding == Encoding::kPartition) {
+      const std::vector<const InnerPlan*> planned =
+          plan_all(slice_keys(genomes));
+      for (std::size_t g = 0; g < genomes.size(); ++g) {
+        for (std::size_t t = 0; t < num_tenants; ++t) {
+          plans[g][t] = planned[g * num_tenants + t]->mapping;
+        }
+      }
+      return plans;
+    }
+    for (std::size_t g = 0; g < genomes.size(); ++g) {
+      for (std::size_t t = 0; t < num_tenants; ++t) {
+        const auto slice = genomes[g].begin() + slice_offset[t];
+        const ga::Genome genes(slice,
+                               slice + spaces[t]->codec().genome_size());
+        plans[g][t] = spaces[t]->complete(spaces[t]->codec().decode(genes));
+      }
+    }
+    return plans;
   };
 
   // ---- evaluation #1: the independent answer ---------------------------
-  CandidatePlan independent(num_tenants);
+  std::vector<InnerKey> full_keys;
   for (std::size_t t = 0; t < num_tenants; ++t) {
-    independent[t] = plan_within(t, full).mapping;
+    full_keys.push_back(key_of(t, full));
+  }
+  const std::vector<const InnerPlan*> independent_plans = plan_all(full_keys);
+  CandidatePlan independent;
+  for (const InnerPlan* plan : independent_plans) {
+    independent.push_back(plan->mapping);
   }
   const ServingObjective::Score independent_score =
       objective.score(independent);
@@ -257,7 +339,7 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
     out.provenance.winner = "independent";
     for (std::size_t t = 0; t < num_tenants; ++t) {
       out.tenants.push_back(TenantOutcome{problem.tenants[t].model, 0,
-                                          plan_within(t, full).provenance});
+                                          independent_plans[t]->provenance});
     }
     return out;
   };
@@ -307,15 +389,10 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
     }
 
     const ga::BatchFitnessFn batch = [&](const std::vector<ga::Genome>& genomes) {
-      std::vector<CandidatePlan> plans;
-      plans.reserve(genomes.size());
-      for (const ga::Genome& genome : genomes) {
-        plans.push_back(materialize(genome).first);
-      }
-      return objective.score_batch(plans, pool.get());
+      return objective.score_batch(materialize(genomes), pool.get());
     };
     const ga::FitnessFn fitness_one = [&](const ga::Genome& genome) {
-      return objective.score(materialize(genome).first).fitness;
+      return batch({genome}).front();
     };
     const ga::StopFn stop = [&](long long evals, double best) {
       if (progress) {
@@ -333,19 +410,24 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
     generations = ga_result.generations_run;
 
     if (ga_result.best_fitness < independent_score.fitness) {
-      auto [plan, masks] = materialize(ga_result.best);
-      out.mappings = std::move(plan);
+      const std::span<const ga::Genome> best(&ga_result.best, 1);
+      out.mappings = std::move(materialize(best).front());
       out.score = objective.score(out.mappings);
       out.independent_score = independent_score;
       out.joint_won = true;
       out.history = ga_result.history;
       out.provenance.winner = to_string(config_.encoding);
+      // Memo hits: the winner's plans were made when it was priced.
+      const std::vector<InnerKey> keys =
+          config_.encoding == Encoding::kPartition ? slice_keys(best)
+                                                   : std::vector<InnerKey>{};
+      const std::vector<const InnerPlan*> planned = plan_all(keys);
       for (std::size_t t = 0; t < num_tenants; ++t) {
         TenantOutcome tenant;
         tenant.model = problem.tenants[t].model;
         if (config_.encoding == Encoding::kPartition) {
-          tenant.placement = masks[t] == full ? 0 : masks[t];
-          tenant.provenance = plan_within(t, masks[t]).provenance;
+          tenant.placement = keys[t].second;
+          tenant.provenance = planned[t]->provenance;
         } else {
           // Interleaved skeletons have no inner engine run to cite; the
           // outer search is their provenance.
@@ -372,6 +454,12 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
   }
   out.rollout_hits = objective.rollout_hits();
   out.rollout_misses = objective.rollout_misses();
+  out.inner_hits = inner_hits.value();
+  out.inner_misses = inner_misses.value();
+  if (obs::MetricsRegistry* global = obs::metrics()) {
+    global->counter("comap.inner.hits").add(out.inner_hits);
+    global->counter("comap.inner.misses").add(out.inner_misses);
+  }
   return out;
 }
 

@@ -18,8 +18,9 @@
 //               mapping is then planned *within* its slice (own range u
 //               shared pool) by the inner plan::GaEngine through
 //               core::Problem::placement; inner plans are memoised per
-//               (tenant, slice) and composed with the MappingCache under
-//               the ";placement=<hex>" search-spec identity.
+//               (tenant, slice) in a util::MemoBatch and composed with the
+//               MappingCache under the ";placement=<hex>" search-spec
+//               identity.
 //
 //   interleave  Concatenation of the tenants' first-level skeleton
 //               genomes on the full fleet (one FirstLevelCodec slice per
@@ -34,10 +35,18 @@
 // independent planning under the rollout objective, by construction.
 //
 // Determinism: the outer GA's genome stream is independent of evaluation
-// (ga::GaEngine contract), candidate materialisation is serial and
-// memoised, and rollouts go through ServingObjective::score_batch —
-// results are byte-identical at any `threads`, which is why `threads`
-// (like everywhere else) never appears in the spec_string.
+// (ga::GaEngine contract). One WorkerPool of `threads` runs both pricing
+// steps of a batch, each a util::MemoBatch sweep: first the inner plans
+// (every genome's (tenant, slice) keys probed in genome order, the new
+// ones searched in parallel, each search single-threaded and so
+// byte-identical to a serial one; mapping-cache loads stay in the serial
+// probe and stores in first-seen order after the searches), then the
+// rollouts through ServingObjective::score_batch. The independent plans
+// and the single-genome paths go through the same sweeps. Mappings,
+// scores and every memo counter are byte-identical at any `threads`,
+// which is why `threads` (like everywhere else) never appears in the
+// spec_string. (Interleave's per-tenant second level still completes
+// candidates serially.)
 #pragma once
 
 #include <cstdint>
@@ -69,9 +78,11 @@ struct CoMapConfig {
   /// level, and the independent baseline all use it).
   core::MarsConfig inner;
   std::uint64_t seed = 1;
-  /// Rollout-pricing threads (a util::WorkerPool sized here). Purely an
-  /// execution knob — byte-identical results at any value — so it is NOT
-  /// part of spec_string(), matching every other engine.
+  /// Threads of the one util::WorkerPool that runs both the inner plans
+  /// (each search single-threaded, whatever `inner.threads` says) and the
+  /// rollouts. Purely an execution knob — byte-identical results at any
+  /// value — so it is NOT part of spec_string(), matching every other
+  /// engine.
   int threads = 1;
 };
 
@@ -105,6 +116,10 @@ struct CoMapResult {
   plan::Provenance provenance;
   long long rollout_hits = 0;
   long long rollout_misses = 0;
+  /// Inner-plan memo counters (`comap.inner.*`): a miss is one distinct
+  /// (tenant, slice) plan made, by search or mapping-cache load.
+  long long inner_hits = 0;
+  long long inner_misses = 0;
 };
 
 class CoMapEngine {

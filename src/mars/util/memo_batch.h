@@ -44,6 +44,14 @@ class MemoBatch {
     /// Serial, one call per key in batch order. `input` is kept only on
     /// the key's first appearance.
     Ticket probe(const Key& key, Input input) {
+      return probe_with(key, [&input] { return std::move(input); });
+    }
+
+    /// probe() with the input built by `make() -> Input` only on the key's
+    /// first appearance: the k-th make() call of a sweep builds slot k.
+    /// Lets the serial probe do per-key set-up work exactly once.
+    template <class Make>
+    Ticket probe_with(const Key& key, Make&& make) {
       const auto cached = owner_->memo_.find(key);
       if (cached != owner_->memo_.end()) {
         charge(owner_->hits_);
@@ -51,7 +59,7 @@ class MemoBatch {
       }
       const auto [it, first] = scheduled_.try_emplace(key, jobs_.size());
       charge(first ? owner_->misses_ : owner_->hits_);
-      if (first) jobs_.emplace_back(key, std::move(input));
+      if (first) jobs_.emplace_back(key, make());
       return {nullptr, it->second};
     }
 

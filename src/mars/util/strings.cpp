@@ -1,5 +1,6 @@
 #include "mars/util/strings.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -17,9 +18,10 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep) 
 }
 
 std::string format_double(double value, int max_decimals) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", max_decimals, value);
-  std::string text(buffer);
+  // Sized from snprintf's own count: a huge value prints in full.
+  const int length = std::snprintf(nullptr, 0, "%.*f", max_decimals, value);
+  std::string text(static_cast<std::size_t>(std::max(length, 0)), '\0');
+  std::snprintf(text.data(), text.size() + 1, "%.*f", max_decimals, value);
   if (text.find('.') != std::string::npos) {
     while (!text.empty() && text.back() == '0') text.pop_back();
     if (!text.empty() && text.back() == '.') text.pop_back();

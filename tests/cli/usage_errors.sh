@@ -70,6 +70,8 @@ expect "error: --topology 'cloud:abc:8'" \
 expect "error: --topology 'cloud:100000:8' needs an integer count of 1 to 64" \
   map --model alexnet --quick --topology cloud:100000:8
 expect "error: unknown model 'lenet'" map --model lenet --quick
+expect "error: map takes a bare model name, got --model 'alexnet:0:1'" \
+  map --model alexnet:0:1 --quick
 expect "error: bad --model weight" \
   serve --model alexnet:nan --mapper baseline --duration 1
 expect "error: size-N batching needs N >= 1, got 0" \

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "mars/comap/engine.h"
+#include "mars/obs/metrics.h"
 #include "mars/topology/presets.h"
 #include "mars/util/error.h"
 
@@ -212,21 +213,65 @@ TEST_F(EngineSearchTest, ProgressReportsMonotoneEvaluations) {
 }
 
 TEST_F(EngineSearchTest, MappingCacheComposesWithInnerSearches) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "comap-cache";
-  std::filesystem::remove_all(dir);
-  const CoMapEngine engine(tiny(Encoding::kPartition));
+  // At threads > 1 the inner searches run in parallel, while the cache's
+  // loads and stores stay in the sweep's serial steps.
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("comap-cache-" + std::to_string(threads));
+    std::filesystem::remove_all(dir);
+    const CoMapEngine engine(tiny(Encoding::kPartition, threads));
 
-  const serve::MappingCache cold(dir.string());
-  const CoMapResult first = engine.search(problem_, {}, &cold);
-  EXPECT_EQ(cold.hits(), 0);
-  EXPECT_GT(cold.stores(), 0);
+    const serve::MappingCache cold(dir.string());
+    const CoMapResult first = engine.search(problem_, {}, &cold);
+    EXPECT_EQ(cold.hits(), 0);
+    EXPECT_GT(cold.stores(), 0);
 
-  const serve::MappingCache warm(dir.string());
-  const CoMapResult second = engine.search(problem_, {}, &warm);
-  EXPECT_GT(warm.hits(), 0);
-  EXPECT_EQ(warm.stores(), 0);
-  expect_identical(first, second);
+    const serve::MappingCache warm(dir.string());
+    const CoMapResult second = engine.search(problem_, {}, &warm);
+    EXPECT_GT(warm.hits(), 0);
+    EXPECT_EQ(warm.stores(), 0);
+    expect_identical(first, second);
+  }
+}
+
+TEST_F(EngineSearchTest, InnerCountersAreThreadInvariantAndCountSlices) {
+  for (const Encoding encoding :
+       {Encoding::kPartition, Encoding::kInterleave}) {
+    SCOPED_TRACE(to_string(encoding));
+    std::vector<CoMapResult> results;
+    for (const int threads : {1, 4}) {
+      // A cold cache sees exactly one load per distinct (tenant, slice)
+      // key the search planned.
+      const std::filesystem::path dir =
+          std::filesystem::path(::testing::TempDir()) /
+          ("comap-inner-" + to_string(encoding) + std::to_string(threads));
+      std::filesystem::remove_all(dir);
+      const serve::MappingCache cache(dir.string());
+      obs::MetricsRegistry registry;
+      obs::MetricsRegistry* previous = obs::install_metrics(&registry);
+      results.push_back(
+          CoMapEngine(tiny(encoding, threads)).search(problem_, {}, &cache));
+      obs::install_metrics(previous);
+
+      const CoMapResult& result = results.back();
+      EXPECT_EQ(result.inner_misses, cache.misses());
+      EXPECT_EQ(result.inner_misses, cache.stores());
+      EXPECT_GE(result.inner_misses, 2);  // the full-fleet plans at least
+      EXPECT_EQ(registry.counter_value("comap.inner.hits"), result.inner_hits);
+      EXPECT_EQ(registry.counter_value("comap.inner.misses"),
+                result.inner_misses);
+    }
+    EXPECT_EQ(results[0].inner_hits, results[1].inner_hits);
+    EXPECT_EQ(results[0].inner_misses, results[1].inner_misses);
+    if (encoding == Encoding::kPartition) {
+      EXPECT_GT(results[0].inner_hits, 0);  // repeated slices are memoised
+    } else {
+      // Interleave plans only the two full-fleet independents.
+      EXPECT_EQ(results[0].inner_misses, 2);
+    }
+  }
 }
 
 /// The quality gate from the acceptance criterion: on the contended

@@ -116,6 +116,25 @@ TEST(MemoBatch, PublishesInFirstSeenOrder) {
   EXPECT_EQ(order, (std::vector<long long>{26, 10, 65}));
 }
 
+TEST(MemoBatch, ProbeWithBuildsAnInputOnlyForANewKey) {
+  Memo memo;
+  (void)memo.get(9, 9, square_plus_one);  // memoised before the batch
+  Memo::Sweep sweep = memo.sweep();
+  std::vector<int> made;  // make() calls, in call order = slot order
+  for (const int key : {5, 9, 3, 5, 3, 8}) {
+    (void)sweep.probe_with(key, [&] {
+      made.push_back(key);
+      return key;
+    });
+  }
+  EXPECT_EQ(made, (std::vector<int>{5, 3, 8}));
+  std::vector<long long> published;
+  for (const long long* value : sweep.resolve(nullptr, square_plus_one)) {
+    published.push_back(*value);
+  }
+  EXPECT_EQ(published, (std::vector<long long>{26, 10, 65}));
+}
+
 TEST(MemoBatch, PoolDoesNotChangeValuesOrCounters) {
   WorkerPool pool(4);
   Counted serial;

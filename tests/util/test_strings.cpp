@@ -27,6 +27,14 @@ TEST(FormatDouble, RespectsPrecision) {
   EXPECT_EQ(format_double(2.0, 0), "2");
 }
 
+TEST(FormatDouble, HugeValuesPrintInFullAndParseBack) {
+  // 1e80 prints as 81 digits: past any fixed-size print buffer.
+  const std::string text = format_double(1e80, 6);
+  EXPECT_EQ(text.size(), 81u);
+  EXPECT_EQ(parse_double(text), std::optional(1e80));
+  EXPECT_EQ(parse_double(format_double(-1.5e300, 3)), std::optional(-1.5e300));
+}
+
 TEST(SiCount, PaperStyleCounts) {
   EXPECT_EQ(si_count(61.1e6, 1), "61.1M");
   EXPECT_EQ(si_count(3.68e9, 2), "3.68G");

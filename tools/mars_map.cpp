@@ -259,9 +259,21 @@ int cmd_models(const util::Flags&) {
   return 0;
 }
 
+/// The `--model` value of a command that plans one model at a time: a bare
+/// zoo name. The `:weight:sloMS` suffix belongs to the serve and comap
+/// tenant mix, so it gets a usage error here rather than "unknown model".
+std::string bare_model(std::string name, const std::string& command) {
+  if (name.find(':') != std::string::npos) {
+    throw InvalidArgument(command + " takes a bare model name, got --model '" +
+                          name + "' (:weight:slo applies only to serve and "
+                                 "comap)");
+  }
+  return name;
+}
+
 int cmd_profile(const util::Flags& flags) {
-  const graph::Graph model =
-      graph::models::by_name(flags.text("model", "resnet34"));
+  const graph::Graph model = graph::models::by_name(
+      bare_model(flags.text("model", "resnet34"), "profile"));
   const graph::ConvSpine spine = graph::ConvSpine::extract(model);
   const accel::DesignRegistry designs = accel::table2_designs();
   const accel::ProfileMatrix profile(designs, spine);
@@ -286,22 +298,25 @@ struct LoadedProblem {
   accel::DesignRegistry designs;
   plan::Planner planner;
 
-  static graph::Graph load_model(const util::Flags& flags) {
+  static graph::Graph load_model(const util::Flags& flags,
+                                 const std::string& command) {
     if (flags.has("model-file")) {
       return graph::parse_model_file(flags.text("model-file"));
     }
-    return graph::models::by_name(flags.text("model", "resnet34"));
+    return graph::models::by_name(
+        bare_model(flags.text("model", "resnet34"), command));
   }
 
-  explicit LoadedProblem(const util::Flags& flags)
+  LoadedProblem(const util::Flags& flags, const std::string& command)
       : topo(make_topology(flags)),
         designs(make_designs(flags)),
-        planner(load_model(flags), topo, designs, !flags.has("fixed")) {}
+        planner(load_model(flags, command), topo, designs,
+                !flags.has("fixed")) {}
 };
 
 int cmd_map(const util::Flags& flags) {
   const ObsSession session(flags);
-  LoadedProblem lp(flags);
+  LoadedProblem lp(flags, "map");
   const std::unique_ptr<plan::SearchEngine> engine = plan::make_engine(
       flags.text("mapper", "ga"), make_config(flags, flags.has("quick")));
   const plan::PlanResult result = lp.planner.plan(*engine, make_budget(flags));
@@ -341,7 +356,7 @@ int cmd_map(const util::Flags& flags) {
 }
 
 int cmd_baseline(const util::Flags& flags) {
-  LoadedProblem lp(flags);
+  LoadedProblem lp(flags, "baseline");
   const plan::BaselineEngine engine;
   const plan::PlanResult result = lp.planner.plan(engine);
   std::cout << core::describe(result.mapping, lp.planner.spine(), lp.designs,
@@ -353,7 +368,7 @@ int cmd_baseline(const util::Flags& flags) {
 
 int cmd_throughput(const util::Flags& flags) {
   const ObsSession session(flags);
-  LoadedProblem lp(flags);
+  LoadedProblem lp(flags, "throughput");
   const int batch = flags.integer("batch", 8);
   const std::unique_ptr<plan::SearchEngine> engine = plan::make_engine(
       flags.text("mapper", "ga"), make_config(flags, flags.has("quick")));
@@ -737,7 +752,7 @@ int cmd_comap(const util::Flags& flags) {
 int cmd_explore(const util::Flags& flags) {
   const ObsSession session(flags);
   explore::ExploreConfig config;
-  config.model = flags.text("model", "alexnet");
+  config.model = bare_model(flags.text("model", "alexnet"), "explore");
   // Both parsers throw InvalidArgument naming the offending axis/value
   // (docs/EXPLORE.md grammar); an absent --space means the default grid.
   config.space = explore::DesignSpace::parse(flags.text("space"));
@@ -821,10 +836,13 @@ int cmd_warm(const util::Flags& flags) {
   const ObsSession session(flags);
   // Accept --models a,b,c and/or repeated --model NAME (bare names; the
   // cache key is per model, weights/SLOs play no part in planning).
-  std::vector<std::string> names = flags.all("model");
+  std::vector<std::string> names;
+  for (const std::string& name : flags.all("model")) {
+    names.push_back(bare_model(name, "warm"));
+  }
   for (const std::string& csv : flags.all("models")) {
     for (const std::string& name : split(csv, ',')) {
-      if (!name.empty()) names.push_back(name);
+      if (!name.empty()) names.push_back(bare_model(name, "warm"));
     }
   }
   if (names.empty()) {
