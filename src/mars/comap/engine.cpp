@@ -177,6 +177,17 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
   const auto inner_spec = [&](topology::AccMask placement) {
     return serve::search_spec(inner_engine, plan::Budget{}, placement);
   };
+  // One compute-once set-pricing table per tenant, lent to every inner
+  // search of the tenant through its problem: a set's greedy latency does
+  // not depend on the slice, so each key is priced once per search here.
+  std::vector<std::unique_ptr<core::SetPriceTable>> set_prices;
+  std::vector<core::Problem> tenant_problems;
+  for (std::size_t t = 0; t < num_tenants; ++t) {
+    tenant_problems.push_back(objective.planner(t).problem());
+    set_prices.push_back(std::make_unique<core::SetPriceTable>(
+        tenant_problems.back(), inner_config.second));
+    tenant_problems.back().set_prices = set_prices.back().get();
+  }
 
   // Plans every key in one sweep; returns each key's plan, in order.
   // Mapping-cache loads run in the serial probe (once per new key), and
@@ -219,7 +230,7 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
             provenance.spec = inner_spec(job.key.second);
             return InnerPlan{*job.cached, std::move(provenance)};
           }
-          core::Problem sliced = objective.planner(job.key.first).problem();
+          core::Problem sliced = tenant_problems[job.key.first];
           sliced.placement = job.key.second;
           plan::PlanResult searched = inner_engine.search(sliced);
           return InnerPlan{std::move(searched.mapping),
@@ -456,9 +467,15 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
   out.rollout_misses = objective.rollout_misses();
   out.inner_hits = inner_hits.value();
   out.inner_misses = inner_misses.value();
+  for (const auto& table : set_prices) {
+    out.set_hits += table->hits();
+    out.set_misses += table->misses();
+  }
   if (obs::MetricsRegistry* global = obs::metrics()) {
     global->counter("comap.inner.hits").add(out.inner_hits);
     global->counter("comap.inner.misses").add(out.inner_misses);
+    global->counter("comap.sets.hits").add(out.set_hits);
+    global->counter("comap.sets.misses").add(out.set_misses);
   }
   return out;
 }

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "mars/core/evaluator.h"
-#include "mars/core/serialize.h"
 #include "mars/serve/metrics.h"
 #include "mars/serve/workload.h"
 #include "mars/sim/executor.h"
@@ -60,18 +59,34 @@ Seconds ServingObjective::slo(std::size_t t) const {
   return slos_[t];
 }
 
-std::uint64_t ServingObjective::mapping_signature(std::size_t t,
-                                                  const core::Mapping& mapping) {
-  // The serialised form is lossless (core/serialize.h), so structurally
-  // equal mappings — and only those — share a signature modulo the
-  // astronomically unlikely 64-bit collision, the same identity bar the
-  // mapping cache's fingerprint clears.
-  const std::string bytes =
-      core::to_json(mapping, planners_[t].spine(), *problem_->designs,
-                    problem_->adaptive)
-          .dump();
-  return util::fnv1a(bytes, util::fnv1a_le(static_cast<std::uint64_t>(t),
-                                           util::kLegacyFnvOffset));
+std::uint64_t ServingObjective::mapping_signature(
+    std::size_t t, const core::Mapping& mapping) const {
+  // Bytewise FNV-1a over fixed-width fields, with every list prefixed by
+  // its length, so the byte stream encodes the mapping unambiguously.
+  // Fixed-design fleets ignore the design id, as the serialised form does.
+  const auto field = [](auto value, std::uint64_t h) {
+    return util::fnv1a_le(static_cast<std::uint32_t>(value), h);
+  };
+  std::uint64_t h = field(t, util::kLegacyFnvOffset);
+  h = field(mapping.sets.size(), h);
+  for (const core::LayerAssignment& set : mapping.sets) {
+    h = util::fnv1a_le(set.accs, h);
+    h = field(problem_->adaptive ? set.design : accel::kInvalidDesign, h);
+    h = field(set.begin, h);
+    h = field(set.end, h);
+    h = field(set.strategies.size(), h);
+    for (const parallel::Strategy& strategy : set.strategies) {
+      h = field(strategy.es().size(), h);
+      for (const parallel::DimSplit& split : strategy.es()) {
+        h = field(split.dim, h);
+        h = field(split.ways, h);
+      }
+      // 0 for no SS dim, else the dim + 1.
+      h = field(strategy.has_ss() ? static_cast<int>(*strategy.ss()) + 1 : 0,
+                h);
+    }
+  }
+  return h;
 }
 
 const ServingObjective::Artifact& ServingObjective::artifact(

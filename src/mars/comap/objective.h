@@ -20,9 +20,13 @@
 // candidate + the shared arrival stream) are priced on a util::WorkerPool
 // and published in first-seen order, and score() is the same sweep over
 // one candidate. Fitness values AND the hit/miss counters are
-// byte-identical at any thread count. Candidate identity is an FNV-1a hash
-// of the lossless core/serialize.* JSON form, so two structurally equal
-// mappings always share one rollout.
+// byte-identical at any thread count. Candidate identity combines each
+// tenant's mapping_signature: an FNV-1a hash of the tenant and, per set,
+// its accelerators, design, layer range and every strategy's ES
+// (dim, ways) list and SS dim — the fields the lossless core/serialize.*
+// form carries that vary within one tenant. Two structurally equal
+// mappings therefore always share one rollout, and any differing field
+// gives a different signature (modulo a 64-bit collision).
 //
 // Rollouts run with SchedulerOptions::quiet — a search replays thousands
 // of candidate fleets; none of them may leak into the user's trace or
@@ -93,6 +97,11 @@ class ServingObjective {
   }
   [[nodiscard]] Seconds slo(std::size_t t) const;
 
+  /// The identity of tenant `t`'s mapping: equal mappings share it, and
+  /// changing any field it hashes changes it (see the contract above).
+  [[nodiscard]] std::uint64_t mapping_signature(
+      std::size_t t, const core::Mapping& mapping) const;
+
   /// Rollout memo counters (`comap.rollout.*`): the batch contract is
   /// stated in terms of these two values.
   [[nodiscard]] long long rollout_hits() const { return rollout_hits_->value(); }
@@ -117,9 +126,6 @@ class ServingObjective {
     Seconds single_latency{};
   };
 
-  /// FNV-1a over the lossless serialised form of tenant `t`'s mapping.
-  [[nodiscard]] std::uint64_t mapping_signature(std::size_t t,
-                                                const core::Mapping& mapping);
   /// Artifact for (tenant, mapping), built on first use (charges a proto
   /// hit/miss). Serial-phase only: the memo mutates.
   [[nodiscard]] const Artifact& artifact(std::size_t t,

@@ -17,6 +17,8 @@
 namespace mars::core {
 
 /// Everything a mapper needs to know about the problem instance.
+class SetPriceTable;
+
 struct Problem {
   const graph::ConvSpine* spine = nullptr;
   const topology::Topology* topo = nullptr;
@@ -31,6 +33,12 @@ struct Problem {
   /// shared Topology object — sets, candidates and the baseline are all
   /// restricted to this mask.
   topology::AccMask placement = 0;
+  /// Optional compute-once table of penalized greedy set latencies
+  /// (core/skeleton_space.h). A SkeletonSpace built on this problem prices
+  /// its second-level memo misses through it, so searches over one spine
+  /// and fleet that differ only in `placement` price each set once. The
+  /// lender keeps it alive; it never changes a result.
+  SetPriceTable* set_prices = nullptr;
 
   /// The effective placement: `placement`, or the full mask when unset.
   [[nodiscard]] topology::AccMask placement_mask() const {

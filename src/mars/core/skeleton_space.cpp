@@ -29,6 +29,47 @@ std::vector<topology::AccSetCandidate> trivial_candidates(
 
 }  // namespace
 
+SetPriceTable::SetPriceTable(const Problem& problem,
+                             const SecondLevelConfig& config)
+    : spine_(problem.spine),
+      topo_(problem.topo),
+      designs_(problem.designs),
+      adaptive_(problem.adaptive),
+      sim_params_(problem.sim_params),
+      enable_ss_(config.enable_ss),
+      max_es_dims_(config.max_es_dims) {}
+
+void SetPriceTable::check_bound(const Problem& problem,
+                                const SecondLevelConfig& config) const {
+  MARS_CHECK(problem.spine == spine_ && problem.topo == topo_ &&
+                 problem.designs == designs_,
+             "SetPriceTable lent to a problem on another spine, topology "
+             "or design registry");
+  MARS_CHECK(problem.adaptive == adaptive_ &&
+                 problem.sim_params == sim_params_,
+             "SetPriceTable lent to a problem with other adaptive or "
+             "simulation parameters");
+  MARS_CHECK(config.enable_ss == enable_ss_ &&
+                 config.max_es_dims == max_es_dims_,
+             "SetPriceTable lent to a second level with other enable_ss or "
+             "max_es_dims");
+}
+
+Seconds SetPriceTable::price(const LayerAssignment& set,
+                             const SecondLevelSearch& second) {
+  Slot* slot = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto [it, inserted] = slots_.try_emplace(SetKey::of(set));
+    (inserted ? misses_ : hits_).add();
+    slot = &it->second;
+  }
+  std::call_once(slot->priced, [&] {
+    slot->value = second.greedy(set).cost.penalized;
+  });
+  return slot->value;
+}
+
 SkeletonSpace::SkeletonSpace(const Problem& problem, const Config& config)
     : problem_(&problem),
       config_(config),
@@ -47,7 +88,11 @@ SkeletonSpace::SkeletonSpace(const Problem& problem, const Config& config)
       record_evictions_(&metrics_.counter("search.space.records.evictions")),
       delta_unchanged_(&metrics_.counter("search.space.delta.unchanged")),
       delta_bails_(&metrics_.counter("search.space.delta.bails")),
-      memo_(memo_hits_, memo_misses_) {}
+      memo_(memo_hits_, memo_misses_) {
+  if (problem.set_prices != nullptr) {
+    problem.set_prices->check_bound(problem, config.second);
+  }
+}
 
 SkeletonSpace::~SkeletonSpace() {
   if (obs::MetricsRegistry* global = obs::metrics()) {
@@ -56,9 +101,16 @@ SkeletonSpace::~SkeletonSpace() {
 }
 
 Seconds SkeletonSpace::set_latency(const LayerAssignment& set) {
-  return memo_.get(key_of(set), &set, [this](const LayerAssignment* input) {
-    return second_.greedy(*input).cost.penalized;
+  return memo_.get(SetKey::of(set), &set, [this](const LayerAssignment* input) {
+    return price_miss(*input);
   });
+}
+
+Seconds SkeletonSpace::price_miss(const LayerAssignment& set) const {
+  if (problem_->set_prices != nullptr) {
+    return problem_->set_prices->price(set, second_);
+  }
+  return second_.greedy(set).cost.penalized;
 }
 
 double SkeletonSpace::fitness(const Skeleton& skeleton) {
@@ -83,7 +135,7 @@ void SkeletonSpace::price_sets(const std::vector<Skeleton>& skeletons,
   for (std::size_t i = 0; i < skeletons.size(); ++i) {
     const auto& sets = skeletons[i].sets;
     for (std::size_t s = ranges[i].first; s < ranges[i].second; ++s) {
-      const Memo::Ticket ticket = sweep.probe(key_of(sets[s]), &sets[s]);
+      const Memo::Ticket ticket = sweep.probe(SetKey::of(sets[s]), &sets[s]);
       if (ticket.cached != nullptr) {
         latencies[i][s] = *ticket.cached;
       } else {
@@ -94,7 +146,7 @@ void SkeletonSpace::price_sets(const std::vector<Skeleton>& skeletons,
   // greedy() is a pure const function of the key, so the sweep may price
   // the new keys on any thread.
   sweep.resolve(pool, [this](const LayerAssignment* set) {
-    return second_.greedy(*set).cost.penalized;
+    return price_miss(*set);
   });
   for (const auto& [latency, ticket] : pending) {
     *latency = sweep[ticket];
@@ -134,15 +186,13 @@ std::vector<double> SkeletonSpace::fitness_batch(
   // this cohort incrementally.
   std::vector<Skeleton> skeletons(genomes.size());
   std::vector<FirstLevelCodec::DecodeTrace> traces(genomes.size());
-  const auto decode = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      skeletons[i] = codec_.decode(genomes[i], &traces[i]);
-    }
+  const auto decode = [&](std::size_t i) {
+    skeletons[i] = codec_.decode(genomes[i], &traces[i]);
   };
   if (pool != nullptr) {
     pool->parallel_for(genomes.size(), decode);
   } else {
-    decode(0, genomes.size());
+    for (std::size_t i = 0; i < genomes.size(); ++i) decode(i);
   }
 
   std::vector<std::vector<Seconds>> latencies = price_batch(skeletons, pool);
@@ -189,7 +239,7 @@ std::vector<double> SkeletonSpace::fitness_delta_batch(
   std::vector<EvalRecord> parent_records(parents.size());
   std::vector<char> parent_looked(parents.size(), 0);
   const auto same_key = [](const LayerAssignment& a, const LayerAssignment& b) {
-    return key_of(a) == key_of(b);
+    return SetKey::of(a) == SetKey::of(b);
   };
   for (std::size_t i = 0; i < n; ++i) {
     MARS_CHECK_ARG(deltas[i].parent < parents.size(),
@@ -309,7 +359,7 @@ Mapping SkeletonSpace::complete(const Skeleton& skeleton) {
   for (const LayerAssignment& set : skeleton.sets) {
     SecondLevelResult second = second_.greedy(set);
     // Charged to the memo like any other lookup of the set.
-    (void)memo_.get(key_of(set), &set, [&](const LayerAssignment*) {
+    (void)memo_.get(SetKey::of(set), &set, [&](const LayerAssignment*) {
       return second.cost.penalized;
     });
     LayerAssignment full = set;

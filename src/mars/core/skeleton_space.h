@@ -20,11 +20,19 @@
 // hit/miss counters: the first appearance of a key in a batch is the miss,
 // every later one a hit, exactly as a serial left-to-right sweep would
 // count them.
+//
+// Sharing across searches: a SetPriceTable lent through
+// Problem::set_prices sits under the memo. A memo miss asks the table,
+// which runs greedy() once per key for every space that borrows it, on
+// any thread. The memo, its counters and every fitness value are the
+// same with or without a table.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,6 +50,85 @@ namespace mars::core {
 /// the GA engine that emits it (see ga::GenomeDelta for the superset
 /// contract on `changed`).
 using GenomeDelta = ga::GenomeDelta;
+
+/// One second-level key: a layer range on an AccSet with a design.
+struct SetKey {
+  int begin;
+  int end;
+  topology::AccMask accs;
+  accel::DesignId design;
+  auto operator<=>(const SetKey&) const = default;
+
+  [[nodiscard]] static SetKey of(const LayerAssignment& set) {
+    return {set.begin, set.end, set.accs, set.design};
+  }
+};
+
+/// Word-at-a-time FNV-1a over the key fields. Set memos are only ever
+/// probed by key (never iterated), so hashing instead of ordering is
+/// observable solely as speed.
+struct SetKeyHash {
+  std::size_t operator()(const SetKey& key) const {
+    std::uint64_t h = util::fnv1a_word(static_cast<unsigned>(key.begin),
+                                       util::kLegacyFnvOffset);
+    h = util::fnv1a_word(static_cast<unsigned>(key.end), h);
+    h = util::fnv1a_word(key.accs, h);
+    return util::fnv1a_word(static_cast<unsigned>(key.design), h);
+  }
+};
+
+/// A compute-once, thread-safe table from set key to penalized greedy
+/// latency, shared by every SkeletonSpace that borrows it through
+/// Problem::set_prices. It is bound to everything greedy() reads: the
+/// spine, topology and design registry (by address), `adaptive`,
+/// `sim_params`, and the second level's `enable_ss` and `max_es_dims`.
+/// Placement is not part of the binding: only candidates and the codec
+/// read it, so spaces on different fleet slices share one table.
+///
+/// Each key is priced once: the first lookup inserts its slot and runs
+/// greedy() under the slot's once_flag, and concurrent lookups of the key
+/// wait for that value. misses() is therefore the number of distinct keys
+/// and hits() every other lookup, exactly, at any thread count. The table
+/// grows with the distinct keys its borrowers price and never evicts, so
+/// a lender scopes it to a bounded run of searches.
+class SetPriceTable {
+ public:
+  SetPriceTable(const Problem& problem, const SecondLevelConfig& config);
+  SetPriceTable(const SetPriceTable&) = delete;
+  SetPriceTable& operator=(const SetPriceTable&) = delete;
+
+  /// Throws InternalError (MARS_CHECK) unless `problem` and `config`
+  /// price sets exactly as the table's binding does.
+  void check_bound(const Problem& problem,
+                   const SecondLevelConfig& config) const;
+
+  /// `second.greedy(set).cost.penalized`, computed on the key's first
+  /// lookup only. `second` must be built on a bound problem and config.
+  [[nodiscard]] Seconds price(const LayerAssignment& set,
+                              const SecondLevelSearch& second);
+
+  [[nodiscard]] long long hits() const { return hits_.value(); }
+  [[nodiscard]] long long misses() const { return misses_.value(); }
+
+ private:
+  struct Slot {
+    std::once_flag priced;
+    Seconds value{};
+  };
+
+  const graph::ConvSpine* spine_;
+  const topology::Topology* topo_;
+  const accel::DesignRegistry* designs_;
+  bool adaptive_;
+  sim::SimParams sim_params_;
+  bool enable_ss_;
+  int max_es_dims_;
+
+  std::mutex mutex_;  // guards slots_; a slot's value is under its flag
+  std::unordered_map<SetKey, Slot, SetKeyHash> slots_;  // node-based
+  obs::Counter hits_;
+  obs::Counter misses_;
+};
 
 class SkeletonSpace {
  public:
@@ -81,8 +168,8 @@ class SkeletonSpace {
 
   /// decode + fitness_batch in one call — the shape every genome search
   /// (GA cohorts, anneal chains, random samples) prices with. The decode
-  /// fans across the pool too (a pure function, so partitioning cannot
-  /// change the result).
+  /// fans across the pool too (a pure function, so which thread decodes a
+  /// genome cannot change the result).
   [[nodiscard]] std::vector<double> fitness_batch(
       const std::vector<ga::Genome>& genomes, util::WorkerPool* pool = nullptr);
 
@@ -128,27 +215,6 @@ class SkeletonSpace {
   }
 
  private:
-  struct CacheKey {
-    int begin;
-    int end;
-    topology::AccMask accs;
-    accel::DesignId design;
-    auto operator<=>(const CacheKey&) const = default;
-  };
-
-  /// Word-at-a-time FNV-1a over the key fields. The cache is only ever
-  /// probed by key (never iterated), so hashing instead of ordering is
-  /// observable solely as speed.
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& key) const {
-      std::uint64_t h = util::fnv1a_word(static_cast<unsigned>(key.begin),
-                                         util::kLegacyFnvOffset);
-      h = util::fnv1a_word(static_cast<unsigned>(key.end), h);
-      h = util::fnv1a_word(key.accs, h);
-      return util::fnv1a_word(static_cast<unsigned>(key.design), h);
-    }
-  };
-
   /// One priced genome, kept so the next generation's mutants can reuse
   /// its decode trace and per-set latencies. Invariant: every set of
   /// `skeleton` has been published to memo_ (which never evicts), so a
@@ -166,15 +232,14 @@ class SkeletonSpace {
   /// holds it.
   using EvalRecord = std::shared_ptr<const EvalPayload>;
 
-  [[nodiscard]] static CacheKey key_of(const LayerAssignment& set) {
-    return {set.begin, set.end, set.accs, set.design};
-  }
-
   /// The set's penalized second-level latency, through the memo.
   [[nodiscard]] Seconds set_latency(const LayerAssignment& set);
+  /// A memo miss: the set's penalized greedy latency, through the lent
+  /// SetPriceTable when the problem carries one. Safe on any thread.
+  [[nodiscard]] Seconds price_miss(const LayerAssignment& set) const;
 
   using Memo =
-      util::MemoBatch<CacheKey, Seconds, const LayerAssignment*, CacheKeyHash>;
+      util::MemoBatch<SetKey, Seconds, const LayerAssignment*, SetKeyHash>;
   using SetRange = std::pair<std::size_t, std::size_t>;  // [first, second)
 
   /// One memo sweep: the penalized latency of every set in ranges[i] of

@@ -222,12 +222,9 @@ PlanResult GaEngine::search(const core::Problem& problem, const Budget& budget,
     if (pool) {
       batch = [&](const std::vector<ga::Genome>& genomes) {
         std::vector<double> values(genomes.size());
-        pool->parallel_for(genomes.size(),
-                           [&](std::size_t begin, std::size_t end) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               values[i] = fitness(genomes[i]);
-                             }
-                           });
+        pool->parallel_for(genomes.size(), [&](std::size_t i) {
+          values[i] = fitness(genomes[i]);
+        });
         return values;
       };
     }

@@ -224,10 +224,8 @@ std::vector<ServeResult> FleetScheduler::run_shards(ShardFn&& fn) const {
   // index — output is identical to the serial loop above.
   util::WorkerPool pool(
       std::min(options_.threads, options_.shards));
-  pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      results[s] = fn(static_cast<int>(s));
-    }
+  pool.parallel_for(n, [&](std::size_t s) {
+    results[s] = fn(static_cast<int>(s));
   });
   return results;
 }

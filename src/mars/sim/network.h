@@ -19,6 +19,8 @@ struct SimParams {
   Seconds link_latency = microseconds(2.0);
   /// Extra store-and-forward delay when a flow is relayed by the host.
   Seconds host_latency = microseconds(5.0);
+
+  friend bool operator==(const SimParams&, const SimParams&) = default;
 };
 
 /// One leg of a route: a directed channel plus its bandwidth.

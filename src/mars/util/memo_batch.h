@@ -9,9 +9,9 @@
 // Hits and misses are charged as a serial left-to-right sweep would: a
 // memoised key, or one already scheduled in this batch, is a hit; only a
 // key's first appearance is a miss. The pricing callable must be a pure
-// function of its input. The pool partitions by index alone and every
-// value has its own slot, so values, memo contents and counters are
-// identical at any thread count.
+// function of its input. Whichever pool thread claims an input, its value
+// goes to that input's own slot, and publishing walks the slots in order,
+// so values, memo contents and counters are identical at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -69,15 +69,13 @@ class MemoBatch {
     template <class Price>
     const std::vector<const Value*>& resolve(WorkerPool* pool, Price&& price) {
       std::vector<Value> values(jobs_.size());
-      const auto run = [&](std::size_t begin, std::size_t end) {
-        for (std::size_t j = begin; j < end; ++j) {
-          values[j] = price(std::as_const(jobs_[j].second));
-        }
+      const auto run = [&](std::size_t j) {
+        values[j] = price(std::as_const(jobs_[j].second));
       };
       if (pool != nullptr && jobs_.size() > 1) {
         pool->parallel_for(jobs_.size(), run);
       } else {
-        run(0, jobs_.size());
+        for (std::size_t j = 0; j < jobs_.size(); ++j) run(j);
       }
       for (std::size_t j = 0; j < jobs_.size(); ++j) {
         const auto it = owner_->memo_.emplace(std::move(jobs_[j].first),

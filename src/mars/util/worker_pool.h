@@ -1,26 +1,31 @@
 // A small reusable worker pool for deterministic data parallelism.
 //
-// MARS parallelises *independent* work — fitness evaluations whose
-// results depend only on their inputs — so the pool's contract is
-// deliberately narrow: parallel_for splits [0, n) into one contiguous
-// chunk per thread (chunk w covers [w*n/T, (w+1)*n/T)), runs the chunks
-// concurrently, and blocks until all of them finish. The partitioning is
-// a pure function of (n, threads), never of timing, so *which* worker
-// computes an item is deterministic; callers that write results by index
-// therefore produce identical output at any thread count.
+// MARS parallelises *independent* work — fitness evaluations, searches and
+// rollouts whose results depend only on their inputs — so the pool's
+// contract is deliberately narrow: parallel_for runs fn(i) once for every
+// index i in [0, n) and blocks until all of them finish. Threads claim
+// indices one at a time, in index order, from a shared atomic counter, so
+// a thread that finishes a cheap item picks up the next one instead of
+// idling behind a costly neighbour. *Which* thread runs an item depends on
+// timing; callers write each result to its own index-addressed slot, so
+// their output is identical at any thread count.
 //
 // No global state: each pool owns its threads and dies with them.
 // Thread-safety: parallel_for may be called repeatedly from the owning
-// thread but not concurrently with itself. The calling thread executes
-// chunk 0 itself, so a pool constructed with threads == 1 spawns nothing
-// and parallel_for degenerates to a plain loop (same code path, zero
-// thread overhead).
+// thread but not concurrently with itself. The calling thread claims items
+// too, so a pool constructed with threads == 1 spawns nothing and
+// parallel_for degenerates to a plain loop (same code path, zero thread
+// overhead).
 //
-// Exceptions thrown inside chunks are captured and the one from the
-// lowest-numbered chunk is rethrown in the caller after every chunk has
-// finished — again deterministic, not a race between throwers.
+// Exceptions: after the first item throws, no thread claims another item.
+// Once every claimed item has finished, the exception of the lowest
+// failing *index* is rethrown in the caller. Claims go out in index order,
+// so every index below a failing one was claimed and ran: the rethrown
+// exception is the one a serial loop would have hit first, deterministic,
+// not a race between throwers.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -36,8 +41,8 @@ inline constexpr int kMaxThreads = 1024;
 
 class WorkerPool {
  public:
-  /// A function applied to one contiguous index chunk [begin, end).
-  using ChunkFn = std::function<void(std::size_t begin, std::size_t end)>;
+  /// A function applied to one index of [0, n).
+  using IndexFn = std::function<void(std::size_t index)>;
 
   /// Spawns `threads - 1` workers (the caller is the remaining thread).
   /// Throws InvalidArgument, before spawning anything, when threads is
@@ -49,19 +54,16 @@ class WorkerPool {
 
   [[nodiscard]] int threads() const { return threads_; }
 
-  /// Runs `fn` over [0, n) split into threads() contiguous chunks; blocks
-  /// until every chunk has finished. The caller runs chunk 0. Rethrows
-  /// the lowest-chunk exception, if any.
-  void parallel_for(std::size_t n, const ChunkFn& fn);
-
-  /// The chunk worker `w` of `threads` receives for a job of size `n`:
-  /// [n*w/threads, n*(w+1)/threads). Exposed so tests (and docs) can pin
-  /// the partitioning down as part of the determinism contract.
-  [[nodiscard]] static std::pair<std::size_t, std::size_t> chunk(
-      std::size_t n, int threads, int worker);
+  /// Runs `fn(i)` for every i in [0, n), claimed in index order by the
+  /// caller and the workers; blocks until every claimed item has finished.
+  /// Rethrows the lowest-index exception, if any.
+  void parallel_for(std::size_t n, const IndexFn& fn);
 
  private:
   void worker_loop(int worker);
+  /// Claims and runs items of the current round until none are left or
+  /// one has failed.
+  void run_claims(int worker);
 
   int threads_;
   std::vector<std::thread> workers_;
@@ -73,8 +75,11 @@ class WorkerPool {
   int remaining_ = 0;             // workers still running this round
   bool shutdown_ = false;
   std::size_t job_size_ = 0;
-  const ChunkFn* job_ = nullptr;
-  std::vector<std::exception_ptr> errors_;  // one slot per chunk
+  const IndexFn* job_ = nullptr;
+  std::atomic<std::size_t> next_{0};  // the next unclaimed index
+  std::atomic<bool> failed_{false};   // an item threw: stop claiming
+  std::size_t error_index_ = 0;       // lowest failing index (under mutex_)
+  std::exception_ptr error_;          // its exception (under mutex_)
 };
 
 }  // namespace mars::util

@@ -274,6 +274,38 @@ TEST_F(EngineSearchTest, InnerCountersAreThreadInvariantAndCountSlices) {
   }
 }
 
+TEST_F(EngineSearchTest, SetCountersAreThreadInvariantAndCountDistinctKeys) {
+  // Every inner-search memo miss is one lookup in its tenant's table
+  // (`search.space.memo.misses` sums the inner spaces' misses).
+  const auto run = [&](int threads, const plan::Budget& budget) {
+    obs::MetricsRegistry registry;
+    obs::MetricsRegistry* previous = obs::install_metrics(&registry);
+    const CoMapResult result =
+        CoMapEngine(tiny(Encoding::kPartition, threads)).search(problem_, budget);
+    obs::install_metrics(previous);
+    EXPECT_EQ(registry.counter_value("comap.sets.hits"), result.set_hits);
+    EXPECT_EQ(registry.counter_value("comap.sets.misses"), result.set_misses);
+    EXPECT_EQ(result.set_hits + result.set_misses,
+              registry.counter_value("search.space.memo.misses"));
+    return result;
+  };
+
+  // One evaluation: each tenant's table serves a single full-fleet search,
+  // whose memo misses are its distinct keys. So are the table's misses.
+  const CoMapResult independent = run(1, plan::Budget::evaluations(1));
+  EXPECT_EQ(independent.set_hits, 0);
+  EXPECT_GT(independent.set_misses, 0);
+
+  // The full search: slices of one tenant share keys, and the counts are
+  // the same at any thread count.
+  const CoMapResult serial = run(1, {});
+  const CoMapResult threaded = run(4, {});
+  EXPECT_EQ(serial.set_hits, threaded.set_hits);
+  EXPECT_EQ(serial.set_misses, threaded.set_misses);
+  EXPECT_GT(serial.set_hits, 0);
+  EXPECT_GT(serial.set_misses, independent.set_misses);
+}
+
 /// The quality gate from the acceptance criterion: on the contended
 /// two-tenant pair at 150 rps, the joint partition search strictly beats
 /// independent per-model planning under the rollout objective.

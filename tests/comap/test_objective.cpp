@@ -4,6 +4,8 @@
 // the fitness bits, not the memo counters.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "mars/comap/objective.h"
@@ -148,6 +150,85 @@ TEST_F(ObjectiveTest, WorkerPoolChangesNothing) {
   EXPECT_EQ(threaded.rollout_misses(), serial.rollout_misses());
   EXPECT_EQ(threaded.proto_hits(), serial.proto_hits());
   EXPECT_EQ(threaded.proto_misses(), serial.proto_misses());
+}
+
+TEST_F(ObjectiveTest, SignatureChangesWithEveryHashedField) {
+  // Adaptive, so the design id is part of the mapping's identity.
+  problem_.adaptive = true;
+  const ServingObjective objective(problem_);
+  const core::Mapping base = mapped(objective, 1, 0);
+  ASSERT_FALSE(base.sets.empty());
+  const std::uint64_t sig = objective.mapping_signature(1, base);
+  EXPECT_EQ(objective.mapping_signature(1, core::Mapping(base)), sig);
+  EXPECT_NE(objective.mapping_signature(0, base), sig);  // the tenant
+
+  // One edit per hashed field; none of them has to be a valid mapping.
+  const auto edited = [&](const std::function<void(core::Mapping&)>& edit) {
+    core::Mapping changed = base;
+    edit(changed);
+    return objective.mapping_signature(1, changed);
+  };
+  const auto first = [](core::Mapping& m) -> core::LayerAssignment& {
+    return m.sets.front();
+  };
+  const auto strategy = [&](core::Mapping& m) -> parallel::Strategy& {
+    return first(m).strategies.front();
+  };
+  EXPECT_NE(edited([&](core::Mapping& m) { first(m).accs ^= 0x10; }), sig);
+  EXPECT_NE(edited([&](core::Mapping& m) { first(m).design += 1; }), sig);
+  EXPECT_NE(edited([&](core::Mapping& m) { first(m).begin += 1; }), sig);
+  EXPECT_NE(edited([&](core::Mapping& m) { first(m).end += 1; }), sig);
+  EXPECT_NE(edited([&](core::Mapping& m) { m.sets.push_back(m.sets.back()); }),
+            sig);
+  EXPECT_NE(edited([&](core::Mapping& m) {
+              first(m).strategies.push_back(parallel::Strategy());
+            }),
+            sig);
+  EXPECT_NE(edited([&](core::Mapping& m) {
+              strategy(m) = parallel::Strategy({{parallel::Dim::kH, 2}}, {});
+            }),
+            edited([&](core::Mapping& m) {
+              strategy(m) = parallel::Strategy({{parallel::Dim::kW, 2}}, {});
+            }));  // ES dim
+  EXPECT_NE(edited([&](core::Mapping& m) {
+              strategy(m) = parallel::Strategy({{parallel::Dim::kH, 2}}, {});
+            }),
+            edited([&](core::Mapping& m) {
+              strategy(m) = parallel::Strategy({{parallel::Dim::kH, 4}}, {});
+            }));  // ES ways
+  EXPECT_NE(edited([&](core::Mapping& m) {
+              strategy(m) = parallel::Strategy({{parallel::Dim::kH, 2}}, {});
+            }),
+            edited([&](core::Mapping& m) {
+              strategy(m) = parallel::Strategy(
+                  {{parallel::Dim::kH, 2}, {parallel::Dim::kW, 2}}, {});
+            }));  // ES list length
+  EXPECT_NE(edited([&](core::Mapping& m) {
+              strategy(m) = parallel::Strategy({{parallel::Dim::kH, 2}}, {});
+            }),
+            edited([&](core::Mapping& m) {
+              strategy(m) = parallel::Strategy({{parallel::Dim::kH, 2}},
+                                               parallel::Dim::kCout);
+            }));  // SS present
+  EXPECT_NE(edited([&](core::Mapping& m) {
+              strategy(m) = parallel::Strategy({{parallel::Dim::kH, 2}},
+                                               parallel::Dim::kCout);
+            }),
+            edited([&](core::Mapping& m) {
+              strategy(m) = parallel::Strategy({{parallel::Dim::kH, 2}},
+                                               parallel::Dim::kCin);
+            }));  // SS dim
+}
+
+TEST_F(ObjectiveTest, FixedDesignSignatureIgnoresTheDesignId) {
+  // A fixed-design fleet serialises every set's design as "fixed", so the
+  // design id must not split two otherwise equal mappings.
+  const ServingObjective objective(problem_);
+  const core::Mapping base = mapped(objective, 0, 0);
+  core::Mapping relabelled = base;
+  relabelled.sets.front().design += 1;
+  EXPECT_EQ(objective.mapping_signature(0, relabelled),
+            objective.mapping_signature(0, base));
 }
 
 TEST_F(ObjectiveTest, PerTenantSlosReachAdmission) {

@@ -151,10 +151,8 @@ TEST(SecondLevelOracle, ConcurrentFirstUseMatchesOracle) {
   constexpr int kThreads = 4;
   std::vector<SecondLevelResult> results(kThreads * skeletons.size());
   util::WorkerPool pool(kThreads);
-  pool.parallel_for(results.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] = search.greedy(skeletons[i % skeletons.size()]);
-    }
+  pool.parallel_for(results.size(), [&](std::size_t i) {
+    results[i] = search.greedy(skeletons[i % skeletons.size()]);
   });
   for (std::size_t i = 0; i < results.size(); ++i) {
     const LayerAssignment& skeleton = skeletons[i % skeletons.size()];

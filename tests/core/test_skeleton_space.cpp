@@ -5,13 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+
 #include "core/test_support.h"
+#include "mars/util/error.h"
 #include "mars/util/worker_pool.h"
+#include "support/second_level_oracle.h"
 
 namespace mars::core {
 namespace {
 
 using testing::AdaptiveFixture;
+using testing::FixedFixture;
 
 std::vector<Skeleton> sample_skeletons(SkeletonSpace& space, int count,
                                        std::uint64_t seed) {
@@ -104,6 +110,123 @@ TEST(SkeletonSpaceBatchTest, BatchThenCompleteMatchesSerialSearchPath) {
               threaded_mapping.sets[i].strategies)
         << i;
   }
+}
+
+/// Slices of the 8-accelerator F1 fleet, the full fleet (0) included.
+const std::vector<topology::AccMask> kPlacements = {0, 0x0F, 0xF0, 0x3C, 0x81};
+
+TEST(SetPriceTableTest, BorrowingSpacesMatchOwnPricingAcrossPlacements) {
+  // One table lent to a space per placement, as comap lends one per
+  // tenant to its slice searches. Each borrowing space must price, memo
+  // and count exactly as a twin pricing its own misses; the table must
+  // price each distinct key once. At 3 threads the spaces run their
+  // batches concurrently, so lookups of shared keys race on the table.
+  AdaptiveFixture fx;
+  const SecondLevelConfig second{};
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetPriceTable table(fx.problem, second);
+    std::vector<Problem> own(kPlacements.size(), fx.problem);
+    std::vector<Problem> lent(kPlacements.size());
+    std::vector<std::unique_ptr<SkeletonSpace>> own_spaces;
+    std::vector<std::unique_ptr<SkeletonSpace>> lent_spaces;
+    std::vector<std::vector<Skeleton>> skeletons;
+    std::set<SetKey> distinct;
+    for (std::size_t k = 0; k < kPlacements.size(); ++k) {
+      own[k].placement = kPlacements[k];
+      lent[k] = own[k];
+      lent[k].set_prices = &table;
+      own_spaces.push_back(
+          std::make_unique<SkeletonSpace>(own[k], SkeletonSpace::Config{second}));
+      lent_spaces.push_back(std::make_unique<SkeletonSpace>(
+          lent[k], SkeletonSpace::Config{second}));
+      skeletons.push_back(sample_skeletons(*own_spaces[k], 16, 3 + k));
+      for (const Skeleton& skeleton : skeletons[k]) {
+        for (const LayerAssignment& set : skeleton.sets) {
+          distinct.insert(SetKey::of(set));
+        }
+      }
+    }
+
+    std::vector<std::vector<double>> own_values(kPlacements.size());
+    std::vector<std::vector<double>> lent_values(kPlacements.size());
+    const auto run = [&](std::size_t k) {
+      // Twice: the second batch is all memo hits on both spaces.
+      for (int pass = 0; pass < 2; ++pass) {
+        own_values[k] = own_spaces[k]->fitness_batch(skeletons[k], nullptr);
+        lent_values[k] = lent_spaces[k]->fitness_batch(skeletons[k], nullptr);
+      }
+    };
+    util::WorkerPool pool(threads);
+    pool.parallel_for(kPlacements.size(), run);
+
+    long long lookups = 0;
+    for (std::size_t k = 0; k < kPlacements.size(); ++k) {
+      EXPECT_EQ(own_values[k], lent_values[k]) << k;  // bitwise
+      EXPECT_EQ(own_spaces[k]->cache_hits(), lent_spaces[k]->cache_hits());
+      EXPECT_EQ(own_spaces[k]->cache_misses(), lent_spaces[k]->cache_misses());
+      lookups += lent_spaces[k]->cache_misses();
+      // The values are the reference greedy's, aggregated.
+      const AnalyticalCostModel& model =
+          lent_spaces[k]->evaluator().analytical();
+      for (std::size_t i = 0; i < skeletons[k].size(); ++i) {
+        std::vector<Seconds> latencies;
+        for (const LayerAssignment& set : skeletons[k][i].sets) {
+          latencies.push_back(oracle::greedy(model, second, set).cost.penalized);
+        }
+        EXPECT_EQ(lent_values[k][i],
+                  model.aggregate_makespan(skeletons[k][i].sets, latencies)
+                      .count())
+            << k << '/' << i;
+      }
+    }
+    // Every memo miss of a borrowing space is one table lookup, and each
+    // distinct key is priced once, whatever the thread count.
+    EXPECT_EQ(table.misses(), static_cast<long long>(distinct.size()));
+    EXPECT_EQ(table.hits() + table.misses(), lookups);
+    EXPECT_GT(table.hits(), 0);  // the slices do share keys
+  }
+}
+
+TEST(SetPriceTableTest, RejectsAProblemOrConfigItIsNotBoundTo) {
+  AdaptiveFixture fx;
+  AdaptiveFixture other;  // equal content, but another spine and fleet
+  const SecondLevelConfig second{};
+  SetPriceTable table(fx.problem, second);
+  Problem lent = fx.problem;
+  lent.set_prices = &table;
+  const auto space = [&](const Problem& problem,
+                         const SecondLevelConfig& config) {
+    return SkeletonSpace(problem, SkeletonSpace::Config{config});
+  };
+
+  Problem foreign = other.problem;
+  foreign.set_prices = &table;
+  EXPECT_THROW((void)space(foreign, second), InternalError);
+  FixedFixture fixed_fx;
+  SetPriceTable fixed_table(fixed_fx.problem, second);
+  Problem adaptive = fixed_fx.problem;
+  adaptive.set_prices = &fixed_table;
+  EXPECT_NO_THROW((void)space(adaptive, second));
+  adaptive.adaptive = true;
+  EXPECT_THROW((void)space(adaptive, second), InternalError);
+  Problem slow = lent;
+  slow.sim_params.link_latency = microseconds(3.0);
+  EXPECT_THROW((void)space(slow, second), InternalError);
+  SecondLevelConfig no_ss = second;
+  no_ss.enable_ss = false;
+  EXPECT_THROW((void)space(lent, no_ss), InternalError);
+  SecondLevelConfig two_dims = second;
+  two_dims.max_es_dims = 2;
+  EXPECT_THROW((void)space(lent, two_dims), InternalError);
+
+  // Neither the placement nor the refine GA's knobs reach greedy().
+  Problem sliced = lent;
+  sliced.placement = 0x0F;
+  EXPECT_NO_THROW((void)space(sliced, second));
+  SecondLevelConfig small_ga = second;
+  small_ga.ga.population = 8;
+  EXPECT_NO_THROW((void)space(lent, small_ga));
 }
 
 }  // namespace
