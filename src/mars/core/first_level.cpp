@@ -27,54 +27,6 @@ int FirstLevelCodec::candidate_index(topology::AccMask mask) const {
                      << " is not a candidate AccSet");
 }
 
-FirstLevelCodec::GeneBlock FirstLevelCodec::block_of(std::size_t gene) const {
-  MARS_CHECK_ARG(gene < static_cast<std::size_t>(genome_size()),
-                 "gene index " << gene << " outside genome of size "
-                               << genome_size());
-  const auto c = candidates_.size();
-  const auto d = static_cast<std::size_t>(problem_->designs->size());
-  if (gene < c) return GeneBlock::kPriority;
-  if (gene < c + c * d) return GeneBlock::kDesign;
-  return GeneBlock::kShare;
-}
-
-int FirstLevelCodec::candidate_of(std::size_t gene) const {
-  const auto c = candidates_.size();
-  const auto d = static_cast<std::size_t>(problem_->designs->size());
-  switch (block_of(gene)) {
-    case GeneBlock::kPriority:
-      return static_cast<int>(gene);
-    case GeneBlock::kDesign:
-      return static_cast<int>((gene - c) / d);
-    case GeneBlock::kShare:
-      return static_cast<int>(gene - c - c * d);
-  }
-  MARS_THROW("unreachable gene block");
-}
-
-std::vector<int> FirstLevelCodec::decode_counts(
-    const double* share_genes, const std::vector<int>& candidate) const {
-  // Shares: proportional layer allocation with a small floor so a set only
-  // drops out when its gene is pushed firmly to zero. Scratch buffers are
-  // thread_local because this sits on the hottest decode path (every full
-  // decode and most retraces) and fitness_batch fans decodes across the
-  // worker pool.
-  thread_local std::vector<double> shares;
-  shares.clear();
-  shares.reserve(candidate.size());
-  double share_sum = 0.0;
-  for (int index : candidate) {
-    const double share = std::max(0.0, share_genes[index]);
-    shares.push_back(share);
-    share_sum += share;
-  }
-  if (share_sum <= 0.0) {
-    shares.assign(candidate.size(), 1.0);
-    share_sum = static_cast<double>(candidate.size());
-  }
-  return largest_remainder(problem_->spine->size(), shares, share_sum);
-}
-
 std::vector<int> largest_remainder(int total, const std::vector<double>& weights,
                                    double weight_sum) {
   // The descending stable insertion sort below yields the same (unique)
@@ -108,38 +60,7 @@ std::vector<int> largest_remainder(int total, const std::vector<double>& weights
   return counts;
 }
 
-int FirstLevelCodec::decode_design(const double* design_genes,
-                                   int candidate) const {
-  const int d = problem_->designs->size();
-  int best = 0;
-  for (int k = 1; k < d; ++k) {
-    if (design_genes[candidate * d + k] > design_genes[candidate * d + best]) {
-      best = k;
-    }
-  }
-  return best;
-}
-
-Skeleton FirstLevelCodec::assemble(const DecodeTrace& trace) const {
-  Skeleton skeleton;
-  int cursor = 0;
-  for (std::size_t i = 0; i < trace.partition.size(); ++i) {
-    if (trace.counts[i] == 0) continue;  // unused set: accelerators idle
-    LayerAssignment set;
-    set.accs = trace.partition[i];
-    set.begin = cursor;
-    set.end = cursor + trace.counts[i];
-    cursor = set.end;
-    if (problem_->adaptive) set.design = trace.designs[i];
-    skeleton.sets.push_back(set);
-  }
-  MARS_CHECK(cursor == problem_->spine->size() && !skeleton.sets.empty(),
-             "layer allocation failed to cover the spine");
-  return skeleton;
-}
-
-Skeleton FirstLevelCodec::decode(const ga::Genome& genome,
-                                 DecodeTrace* trace) const {
+Skeleton FirstLevelCodec::decode(const ga::Genome& genome) const {
   MARS_CHECK_ARG(static_cast<int>(genome.size()) == genome_size(),
                  "genome size mismatch");
   const int c = static_cast<int>(candidates_.size());
@@ -148,145 +69,53 @@ Skeleton FirstLevelCodec::decode(const ga::Genome& genome,
   const double* design_genes = genome.data() + c;
   const double* share_genes = genome.data() + c + c * d;
 
-  DecodeTrace t;
-  t.partition =
+  const std::vector<topology::AccMask> partition =
       topology::decode_partition(*problem_->topo, candidates_,
                                  std::vector<double>(prio, prio + c),
                                  problem_->placement_mask());
-  t.candidate.reserve(t.partition.size());
-  for (topology::AccMask mask : t.partition) {
-    t.candidate.push_back(candidate_index(mask));
+
+  // Shares: proportional layer allocation with a small floor so a set only
+  // drops out when its gene is pushed firmly to zero. Scratch buffers are
+  // thread_local because this is the hottest decode path and fitness_batch
+  // fans decodes across the worker pool.
+  thread_local std::vector<int> candidate;
+  thread_local std::vector<double> shares;
+  candidate.clear();
+  shares.clear();
+  double share_sum = 0.0;
+  for (topology::AccMask mask : partition) {
+    const int index = candidate_index(mask);
+    candidate.push_back(index);
+    const double share = std::max(0.0, share_genes[index]);
+    shares.push_back(share);
+    share_sum += share;
   }
-  t.counts = decode_counts(share_genes, t.candidate);
-  t.designs.reserve(t.partition.size());
-  for (int index : t.candidate) {
-    t.designs.push_back(problem_->adaptive ? decode_design(design_genes, index)
-                                           : -1);
+  if (share_sum <= 0.0) {
+    shares.assign(candidate.size(), 1.0);
+    share_sum = static_cast<double>(candidate.size());
   }
+  const std::vector<int> counts =
+      largest_remainder(problem_->spine->size(), shares, share_sum);
 
-  Skeleton skeleton = assemble(t);
-  if (trace != nullptr) *trace = std::move(t);
-  return skeleton;
-}
-
-namespace {
-
-/// The <, >, or tie outcome decode_partition's comparator sees for a pair.
-int trichotomy(double x, double y) {
-  return static_cast<int>(x > y) - static_cast<int>(y > x);
-}
-
-}  // namespace
-
-FirstLevelCodec::Retrace FirstLevelCodec::retrace(
-    const ga::Genome& child, const ga::Genome& parent,
-    const DecodeTrace& parent_trace,
-    const std::vector<std::size_t>& changed) const {
-  MARS_CHECK_ARG(static_cast<int>(child.size()) == genome_size(),
-                 "genome size mismatch");
-  MARS_CHECK_ARG(parent.size() == child.size(), "parent genome size mismatch");
-  const int c = static_cast<int>(candidates_.size());
-  const int d = problem_->designs->size();
-
-  bool shares_changed = false;
-  std::vector<std::size_t> changed_priorities;
-  std::vector<int> touched_candidates;
-  for (std::size_t gene : changed) {
-    switch (block_of(gene)) {
-      case GeneBlock::kPriority:
-        changed_priorities.push_back(gene);
-        break;
-      case GeneBlock::kDesign:
-        touched_candidates.push_back(candidate_of(gene));
-        break;
-      case GeneBlock::kShare:
-        shares_changed = true;
-        break;
+  Skeleton skeleton;
+  int cursor = 0;
+  for (std::size_t i = 0; i < partition.size(); ++i) {
+    if (counts[i] == 0) continue;  // unused set: accelerators idle
+    LayerAssignment set;
+    set.accs = partition[i];
+    set.begin = cursor;
+    set.end = cursor + counts[i];
+    cursor = set.end;
+    if (problem_->adaptive) {
+      // Argmax of the candidate's design genes, ties to the lower design.
+      const double* genes = design_genes + candidate[i] * d;
+      set.design = static_cast<accel::DesignId>(
+          std::max_element(genes, genes + d) - genes);
     }
+    skeleton.sets.push_back(set);
   }
-
-  Retrace rt;
-
-  // Priority genes feed only the partition decode, and the partition is a
-  // pure function of the candidates' stable-sort order. If every pair
-  // involving a changed priority gene keeps its comparison outcome, the
-  // sort permutation — and therefore the partition — is provably the
-  // parent's without recomputing it. Only order-crossing moves recompute,
-  // and only an actually moved partition rebuilds downstream stages from
-  // the partition just computed (decode() minus its partition call).
-  bool order_crossed = false;
-  for (std::size_t g : changed_priorities) {
-    for (int j = 0; j < c && !order_crossed; ++j) {
-      if (static_cast<std::size_t>(j) == g) continue;
-      order_crossed = trichotomy(parent[g], parent[j]) !=
-                      trichotomy(child[g], child[j]);
-    }
-    if (order_crossed) break;
-  }
-  if (order_crossed) {
-    const double* prio = child.data();
-    std::vector<topology::AccMask> partition = topology::decode_partition(
-        *problem_->topo, candidates_, std::vector<double>(prio, prio + c),
-        problem_->placement_mask());
-    if (partition != parent_trace.partition) {
-      rt.same = false;
-      DecodeTrace& t = rt.trace;
-      t.partition = std::move(partition);
-      t.candidate.reserve(t.partition.size());
-      for (topology::AccMask mask : t.partition) {
-        t.candidate.push_back(candidate_index(mask));
-      }
-      t.counts = decode_counts(child.data() + c + c * d, t.candidate);
-      t.designs.reserve(t.partition.size());
-      for (int index : t.candidate) {
-        t.designs.push_back(
-            problem_->adaptive ? decode_design(child.data() + c, index) : -1);
-      }
-      return rt;
-    }
-  }
-
-  // Partition held: recompute counts/designs only where genes moved, and
-  // compare against the parent before materialising anything.
-  std::vector<int> counts;
-  bool counts_differ = false;
-  if (shares_changed) {
-    counts = decode_counts(child.data() + c + c * d, parent_trace.candidate);
-    counts_differ = counts != parent_trace.counts;
-  }
-  std::vector<std::pair<std::size_t, int>> design_updates;
-  if (problem_->adaptive && !touched_candidates.empty()) {
-    for (std::size_t i = 0; i < parent_trace.candidate.size(); ++i) {
-      if (std::find(touched_candidates.begin(), touched_candidates.end(),
-                    parent_trace.candidate[i]) != touched_candidates.end()) {
-        const int design =
-            decode_design(child.data() + c, parent_trace.candidate[i]);
-        if (design != parent_trace.designs[i]) {
-          design_updates.emplace_back(i, design);
-        }
-      }
-    }
-  }
-  if (!counts_differ && design_updates.empty()) return rt;  // same trace
-
-  rt.same = false;
-  rt.trace = parent_trace;
-  if (counts_differ) rt.trace.counts = std::move(counts);
-  for (const auto& [entry, design] : design_updates) {
-    rt.trace.designs[entry] = design;
-  }
-  return rt;
-}
-
-Skeleton FirstLevelCodec::redecode(const ga::Genome& child,
-                                   const ga::Genome& parent,
-                                   const DecodeTrace& parent_trace,
-                                   const std::vector<std::size_t>& changed,
-                                   DecodeTrace* trace) const {
-  Retrace rt = retrace(child, parent, parent_trace, changed);
-  const DecodeTrace& t = rt.same ? parent_trace : rt.trace;
-  Skeleton skeleton = assemble(t);
-  if (trace != nullptr) *trace = t;
+  MARS_CHECK(cursor == problem_->spine->size() && !skeleton.sets.empty(),
+             "layer allocation failed to cover the spine");
   return skeleton;
 }
 

@@ -1,6 +1,7 @@
 #include "mars/core/skeleton_space.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "mars/core/baseline.h"
 #include "mars/util/error.h"
@@ -83,11 +84,6 @@ SkeletonSpace::SkeletonSpace(const Problem& problem, const Config& config)
       evaluator_(problem),
       memo_hits_(&metrics_.counter("search.space.memo.hits")),
       memo_misses_(&metrics_.counter("search.space.memo.misses")),
-      record_hits_(&metrics_.counter("search.space.records.hits")),
-      record_misses_(&metrics_.counter("search.space.records.misses")),
-      record_evictions_(&metrics_.counter("search.space.records.evictions")),
-      delta_unchanged_(&metrics_.counter("search.space.delta.unchanged")),
-      delta_bails_(&metrics_.counter("search.space.delta.bails")),
       memo_(memo_hits_, memo_misses_) {
   if (problem.set_prices != nullptr) {
     problem.set_prices->check_bound(problem, config.second);
@@ -126,15 +122,16 @@ double SkeletonSpace::fitness(const Skeleton& skeleton) {
       .count();
 }
 
-void SkeletonSpace::price_sets(const std::vector<Skeleton>& skeletons,
-                               const std::vector<SetRange>& ranges,
-                               std::vector<std::vector<Seconds>>& latencies,
-                               util::WorkerPool* pool) {
+std::vector<double> SkeletonSpace::fitness_batch(
+    const std::vector<Skeleton>& skeletons, util::WorkerPool* pool) {
+  // One memo sweep over every set of every skeleton, in batch order.
   Memo::Sweep sweep = memo_.sweep();
+  std::vector<std::vector<Seconds>> latencies(skeletons.size());
   std::vector<std::pair<Seconds*, Memo::Ticket>> pending;
   for (std::size_t i = 0; i < skeletons.size(); ++i) {
     const auto& sets = skeletons[i].sets;
-    for (std::size_t s = ranges[i].first; s < ranges[i].second; ++s) {
+    latencies[i].resize(sets.size());
+    for (std::size_t s = 0; s < sets.size(); ++s) {
       const Memo::Ticket ticket = sweep.probe(SetKey::of(sets[s]), &sets[s]);
       if (ticket.cached != nullptr) {
         latencies[i][s] = *ticket.cached;
@@ -151,24 +148,7 @@ void SkeletonSpace::price_sets(const std::vector<Skeleton>& skeletons,
   for (const auto& [latency, ticket] : pending) {
     *latency = sweep[ticket];
   }
-}
 
-std::vector<std::vector<Seconds>> SkeletonSpace::price_batch(
-    const std::vector<Skeleton>& skeletons, util::WorkerPool* pool) {
-  std::vector<std::vector<Seconds>> latencies(skeletons.size());
-  std::vector<SetRange> ranges(skeletons.size());
-  for (std::size_t i = 0; i < skeletons.size(); ++i) {
-    latencies[i].resize(skeletons[i].sets.size());
-    ranges[i] = {0, skeletons[i].sets.size()};
-  }
-  price_sets(skeletons, ranges, latencies, pool);
-  return latencies;
-}
-
-std::vector<double> SkeletonSpace::fitness_batch(
-    const std::vector<Skeleton>& skeletons, util::WorkerPool* pool) {
-  const std::vector<std::vector<Seconds>> latencies =
-      price_batch(skeletons, pool);
   std::vector<double> fitnesses;
   fitnesses.reserve(skeletons.size());
   for (std::size_t i = 0; i < skeletons.size(); ++i) {
@@ -181,177 +161,16 @@ std::vector<double> SkeletonSpace::fitness_batch(
 
 std::vector<double> SkeletonSpace::fitness_batch(
     const std::vector<ga::Genome>& genomes, util::WorkerPool* pool) {
-  // Decode with traces so every priced genome leaves an EvalRecord behind:
-  // a later fitness_delta_batch() generation can then mutate any member of
-  // this cohort incrementally.
   std::vector<Skeleton> skeletons(genomes.size());
-  std::vector<FirstLevelCodec::DecodeTrace> traces(genomes.size());
   const auto decode = [&](std::size_t i) {
-    skeletons[i] = codec_.decode(genomes[i], &traces[i]);
+    skeletons[i] = codec_.decode(genomes[i]);
   };
   if (pool != nullptr) {
     pool->parallel_for(genomes.size(), decode);
   } else {
     for (std::size_t i = 0; i < genomes.size(); ++i) decode(i);
   }
-
-  std::vector<std::vector<Seconds>> latencies = price_batch(skeletons, pool);
-  std::vector<double> fitnesses(genomes.size());
-  for (std::size_t i = 0; i < genomes.size(); ++i) {
-    fitnesses[i] = evaluator_.analytical()
-                       .aggregate_makespan(skeletons[i].sets, latencies[i])
-                       .count();
-    remember(genomes[i], std::make_shared<const EvalPayload>(EvalPayload{
-                             std::move(traces[i]), std::move(skeletons[i]),
-                             std::move(latencies[i]), fitnesses[i]}));
-  }
-  return fitnesses;
-}
-
-std::vector<double> SkeletonSpace::fitness_delta_batch(
-    const std::vector<ga::Genome>& parents,
-    const std::vector<ga::Genome>& children,
-    const std::vector<GenomeDelta>& deltas, util::WorkerPool* pool) {
-  MARS_CHECK_ARG(children.size() == deltas.size(),
-                 "one GenomeDelta per child required");
-  const std::size_t n = children.size();
-
-  // Decode each child — incrementally when its parent's record is on hand —
-  // and pick the sets left to price. When retrace() reports the move left
-  // the decode trace untouched (the common case for small engine moves),
-  // the child's skeleton is the parent's, so the whole evaluation
-  // short-circuits: every set is a hit and the fitness is the parent's
-  // double verbatim — exactly what re-aggregating the identical sets and
-  // latencies would return — and the child's record aliases the parent
-  // payload without assembling, copying, or aggregating anything. For
-  // genuinely changed skeletons, boundary moves shift only the sets between
-  // the two touched entries, so the positionally unchanged prefix and
-  // suffix of the set list reuse the parent's latencies and are charged as
-  // hits outright: records only describe published skeletons and the cache
-  // never evicts, so the full path would find those keys in memo_ too.
-  // Parent payloads are held by shared_ptr, so a records_ eviction inside
-  // remember() cannot invalidate them.
-  std::vector<Skeleton> skeletons(n);
-  std::vector<FirstLevelCodec::DecodeTrace> traces(n);
-  std::vector<char> unchanged(n, 0);
-  std::vector<std::vector<Seconds>> latencies(n);
-  std::vector<SetRange> ranges(n);
-  std::vector<EvalRecord> parent_records(parents.size());
-  std::vector<char> parent_looked(parents.size(), 0);
-  const auto same_key = [](const LayerAssignment& a, const LayerAssignment& b) {
-    return SetKey::of(a) == SetKey::of(b);
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    MARS_CHECK_ARG(deltas[i].parent < parents.size(),
-                   "delta parent index " << deltas[i].parent
-                                         << " outside a cohort of "
-                                         << parents.size());
-    // recall() once per distinct parent: records_ cannot change before
-    // the publish, and the shared_ptr keeps every looked-up payload alive.
-    const std::size_t p = deltas[i].parent;
-    if (!parent_looked[p]) {
-      parent_records[p] = recall(parents[p]);
-      parent_looked[p] = 1;
-    }
-    const EvalPayload* record = parent_records[p].get();
-    // A move touching more than a quarter of the genome is not incremental
-    // (e.g. a crossover between diverged parents): retrace and set matching
-    // would almost surely recompute everything and their bookkeeping would
-    // be pure overhead, so price it through the identical full-decode
-    // subpath instead.
-    if (record != nullptr &&
-        deltas[i].changed.size() * 4 >
-            static_cast<std::size_t>(codec_.genome_size())) {
-      record = nullptr;
-      delta_bails_->add();
-    }
-    if (record == nullptr) {
-      skeletons[i] = codec_.decode(children[i], &traces[i]);
-    } else {
-      FirstLevelCodec::Retrace rt = codec_.retrace(
-          children[i], parents[p], record->trace, deltas[i].changed);
-      if (rt.same) {
-        // Identical trace, hence identical skeleton: S cache hits and the
-        // parent's fitness, with no assembly or aggregation.
-        memo_hits_->add(static_cast<long long>(record->skeleton.sets.size()));
-        unchanged[i] = 1;
-        delta_unchanged_->add();
-        continue;
-      }
-      traces[i] = std::move(rt.trace);
-      skeletons[i] = codec_.assemble(traces[i]);
-    }
-
-    const auto& sets = skeletons[i].sets;
-    const std::size_t count = sets.size();
-    latencies[i].resize(count);
-    std::size_t prefix = 0;
-    std::size_t suffix = 0;
-    if (record != nullptr) {
-      const auto& psets = record->skeleton.sets;
-      const std::size_t overlap = std::min(count, psets.size());
-      while (prefix < overlap && same_key(sets[prefix], psets[prefix])) {
-        latencies[i][prefix] = record->latencies[prefix];
-        ++prefix;
-      }
-      while (suffix < overlap - prefix &&
-             same_key(sets[count - 1 - suffix],
-                      psets[psets.size() - 1 - suffix])) {
-        latencies[i][count - 1 - suffix] =
-            record->latencies[psets.size() - 1 - suffix];
-        ++suffix;
-      }
-      memo_hits_->add(static_cast<long long>(prefix + suffix));
-    }
-    ranges[i] = {prefix, count - suffix};
-  }
-
-  // Price the remaining sets in child order, then aggregate.
-  // Parent-matched sets reuse the recorded latency — the exact double
-  // copied out of the same memo entry.
-  price_sets(skeletons, ranges, latencies, pool);
-  std::vector<double> fitnesses(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (unchanged[i]) {
-      // Same sets, same latencies — the aggregate is the parent's double,
-      // and the child's record is the parent payload itself.
-      const EvalRecord& record = parent_records[deltas[i].parent];
-      fitnesses[i] = record->fitness;
-      remember(children[i], record);
-      continue;
-    }
-    fitnesses[i] = evaluator_.analytical()
-                       .aggregate_makespan(skeletons[i].sets, latencies[i])
-                       .count();
-    remember(children[i], std::make_shared<const EvalPayload>(EvalPayload{
-                              std::move(traces[i]), std::move(skeletons[i]),
-                              std::move(latencies[i]), fitnesses[i]}));
-  }
-  return fitnesses;
-}
-
-SkeletonSpace::EvalRecord SkeletonSpace::recall(const ga::Genome& genome) const {
-  if (records_.empty()) {
-    record_misses_->add();
-    return nullptr;
-  }
-  const RecordSlot& slot = records_[GenomeHash{}(genome) % kRecordSlots];
-  if (slot.record != nullptr && slot.genome == genome) {
-    record_hits_->add();
-    return slot.record;
-  }
-  record_misses_->add();
-  return nullptr;
-}
-
-void SkeletonSpace::remember(const ga::Genome& genome, EvalRecord record) {
-  if (records_.empty()) records_.resize(kRecordSlots);
-  RecordSlot& slot = records_[GenomeHash{}(genome) % kRecordSlots];
-  if (slot.record != nullptr && !(slot.genome == genome)) {
-    record_evictions_->add();  // direct-mapped collision overwrites the slot
-  }
-  slot.genome = genome;  // assignment reuses the slot's capacity
-  slot.record = std::move(record);
+  return fitness_batch(skeletons, pool);
 }
 
 Mapping SkeletonSpace::complete(const Skeleton& skeleton) {

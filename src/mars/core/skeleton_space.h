@@ -28,12 +28,9 @@
 // same with or without a table.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "mars/accel/profiler.h"
@@ -45,11 +42,6 @@
 #include "mars/util/memo_batch.h"
 
 namespace mars::core {
-
-/// The move description fitness_delta_batch consumes — defined next to
-/// the GA engine that emits it (see ga::GenomeDelta for the superset
-/// contract on `changed`).
-using GenomeDelta = ga::GenomeDelta;
 
 /// One second-level key: a layer range on an AccSet with a design.
 struct SetKey {
@@ -166,29 +158,13 @@ class SkeletonSpace {
   [[nodiscard]] std::vector<double> fitness_batch(
       const std::vector<Skeleton>& skeletons, util::WorkerPool* pool = nullptr);
 
-  /// decode + fitness_batch in one call — the shape every genome search
-  /// (GA cohorts, anneal chains, random samples) prices with. The decode
-  /// fans across the pool too (a pure function, so which thread decodes a
-  /// genome cannot change the result).
+  /// decode + fitness_batch in one call — the one primitive every genome
+  /// search (GA cohorts, anneal proposals, random samples) prices with.
+  /// The decode fans across the pool too (a pure function, so which thread
+  /// decodes a genome cannot change the result), and nothing is kept per
+  /// genome: the memo is the only state a search accumulates.
   [[nodiscard]] std::vector<double> fitness_batch(
       const std::vector<ga::Genome>& genomes, util::WorkerPool* pool = nullptr);
-
-  /// fitness_batch(children, pool), but told how each child differs from a
-  /// parent genome in `parents`. A child whose parent this object priced
-  /// recently (the genome fitness paths keep a bounded record per genome)
-  /// is re-decoded incrementally via FirstLevelCodec::redecode; when the
-  /// skeleton comes out identical to the parent's the evaluation
-  /// short-circuits to the parent's fitness, and otherwise sets the move
-  /// did not touch reuse the parent's per-set latencies without a cache
-  /// lookup. Children without a usable record fall back to the full path.
-  /// The contract is exactness, not approximation: the returned fitness
-  /// values AND the hit/miss counter increments are bit-identical to
-  /// fitness_batch(children, pool), at any thread count.
-  [[nodiscard]] std::vector<double> fitness_delta_batch(
-      const std::vector<ga::Genome>& parents,
-      const std::vector<ga::Genome>& children,
-      const std::vector<GenomeDelta>& deltas,
-      util::WorkerPool* pool = nullptr);
 
   /// `skeleton` with its second-level greedy strategies filled in.
   [[nodiscard]] Mapping complete(const Skeleton& skeleton);
@@ -208,30 +184,13 @@ class SkeletonSpace {
     return memo_misses_->value();
   }
 
-  /// All instance counters (memo, record table, delta path) by name; see
-  /// docs/OBSERVABILITY.md for the `search.space.*` naming scheme.
+  /// All instance counters by name; see docs/OBSERVABILITY.md for the
+  /// `search.space.*` naming scheme.
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
   }
 
  private:
-  /// One priced genome, kept so the next generation's mutants can reuse
-  /// its decode trace and per-set latencies. Invariant: every set of
-  /// `skeleton` has been published to memo_ (which never evicts), so a
-  /// set matching a recorded parent set is always a cache hit — the delta
-  /// path may charge it as one without a map lookup.
-  struct EvalPayload {
-    FirstLevelCodec::DecodeTrace trace;
-    Skeleton skeleton;
-    std::vector<Seconds> latencies;  // penalized, one per set
-    double fitness = 0.0;
-  };
-  /// Records share payloads immutably: a child whose move left the decode
-  /// trace untouched aliases its parent's payload instead of copying it,
-  /// and a payload outlives any records_ eviction while a batch still
-  /// holds it.
-  using EvalRecord = std::shared_ptr<const EvalPayload>;
-
   /// The set's penalized second-level latency, through the memo.
   [[nodiscard]] Seconds set_latency(const LayerAssignment& set);
   /// A memo miss: the set's penalized greedy latency, through the lent
@@ -240,20 +199,6 @@ class SkeletonSpace {
 
   using Memo =
       util::MemoBatch<SetKey, Seconds, const LayerAssignment*, SetKeyHash>;
-  using SetRange = std::pair<std::size_t, std::size_t>;  // [first, second)
-
-  /// One memo sweep: the penalized latency of every set in ranges[i] of
-  /// skeletons[i], written into the pre-sized latencies[i].
-  void price_sets(const std::vector<Skeleton>& skeletons,
-                  const std::vector<SetRange>& ranges,
-                  std::vector<std::vector<Seconds>>& latencies,
-                  util::WorkerPool* pool);
-  /// price_sets over every set of every skeleton.
-  [[nodiscard]] std::vector<std::vector<Seconds>> price_batch(
-      const std::vector<Skeleton>& skeletons, util::WorkerPool* pool);
-
-  [[nodiscard]] EvalRecord recall(const ga::Genome& genome) const;
-  void remember(const ga::Genome& genome, EvalRecord record);
 
   const Problem* problem_;
   Config config_;
@@ -270,45 +215,11 @@ class SkeletonSpace {
   obs::MetricsRegistry metrics_;
   obs::Counter* memo_hits_;
   obs::Counter* memo_misses_;
-  obs::Counter* record_hits_;
-  obs::Counter* record_misses_;
-  obs::Counter* record_evictions_;
-  obs::Counter* delta_unchanged_;
-  obs::Counter* delta_bails_;
   /// Second-level memo per (layer range, AccSet, design), charging the
   /// memo counters above. It keeps only the penalized latency the fitness
   /// reads: the search prices thousands of sets and completes a few, and
   /// complete() re-runs the deterministic greedy for those few.
   Memo memo_;
-  /// Word-at-a-time FNV-1a over the genes' bit patterns. Hashing bit
-  /// patterns is sound here: equality stays the exact operator== on the
-  /// doubles, and a key the hash cannot find again (e.g. a NaN gene)
-  /// merely forces the exact full-path fallback.
-  struct GenomeHash {
-    std::size_t operator()(const ga::Genome& genome) const {
-      std::uint64_t h = util::kLegacyFnvOffset;
-      for (const double gene : genome) {
-        h = util::fnv1a_word(std::bit_cast<std::uint64_t>(gene), h);
-      }
-      return h;
-    }
-  };
-
-  /// One slot of the direct-mapped record table; empty while record is
-  /// null.
-  struct RecordSlot {
-    ga::Genome genome;
-    EvalRecord record;
-  };
-
-  /// Genome-keyed records backing fitness_delta_batch, held in a
-  /// direct-mapped table (power-of-two slots, overwrite on collision) so
-  /// recall/remember sit on the per-child hot path at the cost of one
-  /// hash and one compare. Collisions evict silently, which can only
-  /// force the exact full-path fallback, never change a result or a
-  /// counter. Allocated lazily on the first remember().
-  static constexpr std::size_t kRecordSlots = 4096;
-  std::vector<RecordSlot> records_;
 };
 
 }  // namespace mars::core

@@ -45,8 +45,7 @@ GaEngine::GaEngine(GaConfig config, int genome_size)
 GaResult GaEngine::minimize(const FitnessFn& fitness, Rng& rng,
                             const std::vector<Genome>& seeds,
                             const StopFn& stop,
-                            const BatchFitnessFn& batch,
-                            const DeltaBatchFitnessFn& delta) const {
+                            const BatchFitnessFn& batch) const {
   const auto pop_size = static_cast<std::size_t>(config_.population);
   std::vector<Genome> population;
   population.reserve(pop_size);
@@ -63,21 +62,9 @@ GaResult GaEngine::minimize(const FitnessFn& fitness, Rng& rng,
   GaResult result;
   result.best_fitness = std::numeric_limits<double>::infinity();
 
-  // Count/clamp shared by every evaluator: non-finite values become +inf
-  // (maximally unfit), and the evaluation budget advances per genome.
-  auto finalize_scores = [&](std::vector<double> values, std::size_t expected) {
-    MARS_CHECK(values.size() == expected,
-               "batch fitness returned " << values.size() << " scores for "
-                                         << expected << " genomes");
-    for (double& value : values) {
-      if (!std::isfinite(value)) value = std::numeric_limits<double>::infinity();
-    }
-    result.evaluations += static_cast<long long>(expected);
-    return values;
-  };
-
   // Scores for a group of genomes, through `batch` when provided (the
-  // parallel path) or `fitness` one by one.
+  // parallel path) or `fitness` one by one. Non-finite values become +inf
+  // (maximally unfit), and the evaluation budget advances per genome.
   auto evaluate_all = [&](const std::vector<Genome>& genomes) {
     std::vector<double> values =
         batch ? batch(genomes) : std::vector<double>();
@@ -85,7 +72,14 @@ GaResult GaEngine::minimize(const FitnessFn& fitness, Rng& rng,
       values.reserve(genomes.size());
       for (const Genome& genome : genomes) values.push_back(fitness(genome));
     }
-    return finalize_scores(std::move(values), genomes.size());
+    MARS_CHECK(values.size() == genomes.size(),
+               "batch fitness returned " << values.size() << " scores for "
+                                         << genomes.size() << " genomes");
+    for (double& value : values) {
+      if (!std::isfinite(value)) value = std::numeric_limits<double>::infinity();
+    }
+    result.evaluations += static_cast<long long>(genomes.size());
+    return values;
   };
 
   std::vector<double> scores = evaluate_all(population);
@@ -134,12 +128,10 @@ GaResult GaEngine::minimize(const FitnessFn& fitness, Rng& rng,
     // and with it the search — is identical to child-at-a-time
     // interleaving, while the evaluations become batchable.
     std::vector<Genome> offspring;
-    std::vector<GenomeDelta> moves;  // one per child when `delta` is set
     offspring.reserve(pop_size - next.size());
-    if (delta) moves.reserve(pop_size - next.size());
     while (next.size() + offspring.size() < pop_size) {
-      const std::size_t pa = tournament_select(scores, config_.tournament, rng);
-      const Genome& parent_a = population[pa];
+      const Genome& parent_a =
+          population[tournament_select(scores, config_.tournament, rng)];
       const Genome& parent_b =
           population[tournament_select(scores, config_.tournament, rng)];
       Genome child = rng.chance(config_.crossover_rate)
@@ -147,23 +139,9 @@ GaResult GaEngine::minimize(const FitnessFn& fitness, Rng& rng,
                          : parent_a;
       gaussian_mutate(child, config_.mutation_rate, config_.mutation_sigma,
                       config_.gene_lo, config_.gene_hi, rng);
-      if (delta) {
-        // Exact diff against the breeding parent: crossover pulls in
-        // parent_b genes and mutation perturbs, so the scan — not the
-        // operators — is the source of truth for what moved.
-        GenomeDelta move;
-        move.parent = pa;
-        for (std::size_t g = 0; g < child.size(); ++g) {
-          if (child[g] != parent_a[g]) move.changed.push_back(g);
-        }
-        moves.push_back(std::move(move));
-      }
       offspring.push_back(std::move(child));
     }
-    std::vector<double> offspring_scores =
-        delta ? finalize_scores(delta(population, offspring, moves),
-                                offspring.size())
-              : evaluate_all(offspring);
+    const std::vector<double> offspring_scores = evaluate_all(offspring);
     for (std::size_t i = 0; i < offspring.size(); ++i) {
       next.push_back(std::move(offspring[i]));
       next_scores.push_back(offspring_scores[i]);

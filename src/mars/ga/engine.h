@@ -33,26 +33,6 @@ using StopFn = std::function<bool(long long evaluations, double best_fitness)>;
 using BatchFitnessFn =
     std::function<std::vector<double>(const std::vector<Genome>&)>;
 
-/// A child genome expressed relative to a parent in the same cohort:
-/// `children[i] == parents[deltas[i].parent]` except (at most) at the
-/// `changed` genes. `changed` must be a superset of the genes that
-/// actually differ — listing a gene an edit rewrote to its old value is
-/// fine, omitting a real change is not.
-struct GenomeDelta {
-  std::size_t parent = 0;
-  std::vector<std::size_t> changed;
-};
-
-/// Optional delta-aware batch evaluator: fitness for each child, same
-/// order, given the evaluated cohort it was bred from and how each child
-/// differs (the hook for incremental cost-model evaluation). Must return
-/// exactly the values BatchFitnessFn would return for `children` — the
-/// engine treats the two as interchangeable, so equal values imply
-/// byte-identical searches.
-using DeltaBatchFitnessFn = std::function<std::vector<double>(
-    const std::vector<Genome>& parents, const std::vector<Genome>& children,
-    const std::vector<GenomeDelta>& deltas)>;
-
 struct GaConfig {
   int population = 32;
   int generations = 40;
@@ -93,17 +73,11 @@ class GaEngine {
   /// `stop` (optional) is polled at generation boundaries for budget /
   /// cancellation enforcement. `batch` (optional) evaluates whole
   /// populations at once (parallel fitness); byte-identical to the serial
-  /// path as long as it returns the same values as `fitness`. `delta`
-  /// (optional) replaces `batch` for offspring cohorts: the engine then
-  /// reports each child's breeding parent and the exact genes where the
-  /// child differs from it, so the evaluator can price the move
-  /// incrementally. The initial population (no parents) always goes
-  /// through `batch`/`fitness`.
+  /// path as long as it returns the same values as `fitness`.
   [[nodiscard]] GaResult minimize(const FitnessFn& fitness, Rng& rng,
                                   const std::vector<Genome>& seeds = {},
                                   const StopFn& stop = {},
-                                  const BatchFitnessFn& batch = {},
-                                  const DeltaBatchFitnessFn& delta = {}) const;
+                                  const BatchFitnessFn& batch = {}) const;
 
   [[nodiscard]] const GaConfig& config() const { return config_; }
   [[nodiscard]] int genome_size() const { return genome_size_; }

@@ -160,23 +160,14 @@ PlanResult GaEngine::search(const core::Problem& problem, const Budget& budget,
     auto fitness = [&](const ga::Genome& genome) {
       return space.fitness(codec.decode(genome));
     };
-    // Cohorts always go through the batch/delta pair (pool may be null —
-    // the batch paths run the identical code single-threaded): initial
-    // populations seed SkeletonSpace's per-genome records, offspring
-    // arrive as moves priced incrementally against those records. Both
-    // paths return exactly the serial values, so the search itself is
-    // byte-identical at any thread count.
+    // Cohorts always go through the one batch primitive (pool may be null
+    // — it then runs the identical code single-threaded). It returns
+    // exactly the serial values, so the search itself is byte-identical at
+    // any thread count.
     ga::BatchFitnessFn batch = [&](const std::vector<ga::Genome>& genomes) {
       return space.fitness_batch(genomes, pool.get());
     };
-    ga::DeltaBatchFitnessFn delta =
-        [&](const std::vector<ga::Genome>& parents,
-            const std::vector<ga::Genome>& children,
-            const std::vector<ga::GenomeDelta>& deltas) {
-          return space.fitness_delta_batch(parents, children, deltas,
-                                           pool.get());
-        };
-    searched = engine.minimize(fitness, rng, seeds, stop, batch, delta);
+    searched = engine.minimize(fitness, rng, seeds, stop, batch);
     mapping = space.complete(codec.decode(searched.best));
     // One more poll, so a budget the last generation spent skips polish.
     if (stop) (void)stop(searched.evaluations, searched.best_fitness);
@@ -313,8 +304,6 @@ PlanResult AnnealingEngine::search(const core::Problem& problem,
   long long evaluations = 0;
   if (config_.seed_baseline) {
     // All chains start from the baseline skeleton: one evaluation, shared.
-    // Priced through the genome overload so the start point leaves a
-    // record behind for the first step's delta evaluation.
     const ga::Genome start = codec.encode(space.baseline(), scores);
     const double fitness =
         space.fitness_batch(std::vector<ga::Genome>{start}, pool.get())
@@ -366,31 +355,22 @@ PlanResult AnnealingEngine::search(const core::Problem& problem,
           std::min<long long>(static_cast<long long>(active),
                               budget.max_evaluations - evaluations));
     }
-    // Each proposal is its chain's current genome plus moves_per_step gene
-    // edits, and is priced as that move: the listed genes are a superset
-    // of the actual diff (a clamped edit may land on the old value), which
-    // is exactly the GenomeDelta contract. fitness_delta_batch returns the
-    // full-evaluation values bit-for-bit, so the chains are unchanged.
+    // Each proposal is its chain's current genome plus moves_per_step
+    // clamped gaussian gene edits.
     std::vector<ga::Genome> proposals;
-    std::vector<ga::GenomeDelta> moves;
     proposals.reserve(active);
-    moves.reserve(active);
     for (std::size_t c = 0; c < active; ++c) {
       ga::Genome proposal = current[c];
-      ga::GenomeDelta move;
-      move.parent = c;
       for (int m = 0; m < config_.moves_per_step; ++m) {
         const std::size_t gene = rngs[c].index(proposal.size());
         proposal[gene] = std::clamp(
             proposal[gene] + rngs[c].gaussian(0.0, config_.step_sigma), 0.0,
             1.0);
-        move.changed.push_back(gene);
       }
       proposals.push_back(std::move(proposal));
-      moves.push_back(std::move(move));
     }
     const std::vector<double> proposal_fitness =
-        space.fitness_delta_batch(current, proposals, moves, pool.get());
+        space.fitness_batch(proposals, pool.get());
     evaluations += static_cast<long long>(active);
 
     for (std::size_t c = 0; c < active; ++c) {

@@ -35,27 +35,66 @@ std::vector<Skeleton> sample_skeletons(SkeletonSpace& space, int count,
   return skeletons;
 }
 
+/// The encoded baseline plus profiled-random genomes.
+std::vector<ga::Genome> sample_genomes(const SkeletonSpace& space, int count,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<double> scores = space.design_scores();
+  std::vector<ga::Genome> genomes;
+  genomes.reserve(static_cast<std::size_t>(count));
+  genomes.push_back(space.codec().encode(space.baseline(), scores));
+  for (int i = 1; i < count; ++i) {
+    genomes.push_back(space.codec().profiled_random(scores, rng));
+  }
+  return genomes;
+}
+
 TEST(SkeletonSpaceBatchTest, BatchMatchesSerialFitnessBitForBit) {
-  AdaptiveFixture fx;
-  SkeletonSpace serial_space(fx.problem, {{}, true});
-  SkeletonSpace batch_space(fx.problem, {{}, true});
-  const std::vector<Skeleton> skeletons = sample_skeletons(serial_space, 24, 5);
+  // Fitness is a pure function of the skeleton. On fresh caches, serial
+  // fitness(), the skeleton batch and the genome batch return the same
+  // doubles and count hits and misses alike. On warm caches every path
+  // returns those doubles again and charges only hits.
+  AdaptiveFixture adaptive;
+  FixedFixture fixed;
+  for (const Problem* problem : {&adaptive.problem, &fixed.problem}) {
+    SCOPED_TRACE(problem->adaptive ? "adaptive" : "fixed");
+    SkeletonSpace serial_space(*problem, {{}, true});
+    SkeletonSpace batch_space(*problem, {{}, true});
+    SkeletonSpace genome_space(*problem, {{}, true});
+    const std::vector<ga::Genome> genomes = sample_genomes(serial_space, 24, 5);
+    std::vector<Skeleton> skeletons;
+    long long num_sets = 0;
+    for (const ga::Genome& genome : genomes) {
+      skeletons.push_back(serial_space.codec().decode(genome));
+      num_sets += static_cast<long long>(skeletons.back().sets.size());
+    }
 
-  std::vector<double> serial;
-  serial.reserve(skeletons.size());
-  for (const Skeleton& skeleton : skeletons) {
-    serial.push_back(serial_space.fitness(skeleton));
-  }
-  const std::vector<double> batch =
-      batch_space.fitness_batch(sample_skeletons(batch_space, 24, 5), nullptr);
+    std::vector<double> serial;
+    serial.reserve(skeletons.size());
+    for (const Skeleton& skeleton : skeletons) {
+      serial.push_back(serial_space.fitness(skeleton));
+    }
+    // Bit-equal, not just close.
+    EXPECT_EQ(batch_space.fitness_batch(skeletons, nullptr), serial);
+    EXPECT_EQ(genome_space.fitness_batch(genomes, nullptr), serial);
+    // The dedupe counts occurrences exactly as a serial left-to-right sweep.
+    for (const SkeletonSpace* space : {&batch_space, &genome_space}) {
+      EXPECT_EQ(space->cache_hits(), serial_space.cache_hits());
+      EXPECT_EQ(space->cache_misses(), serial_space.cache_misses());
+    }
 
-  ASSERT_EQ(batch.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], batch[i]) << i;  // bit-equal, not just close
+    for (SkeletonSpace* space : {&serial_space, &batch_space, &genome_space}) {
+      const long long hits = space->cache_hits();
+      const long long misses = space->cache_misses();
+      for (std::size_t i = 0; i < skeletons.size(); ++i) {
+        EXPECT_EQ(space->fitness(skeletons[i]), serial[i]) << i;
+      }
+      EXPECT_EQ(space->fitness_batch(skeletons, nullptr), serial);
+      EXPECT_EQ(space->fitness_batch(genomes, nullptr), serial);
+      EXPECT_EQ(space->cache_hits(), hits + 3 * num_sets);
+      EXPECT_EQ(space->cache_misses(), misses);
+    }
   }
-  // The dedupe counts occurrences exactly as a serial left-to-right sweep.
-  EXPECT_EQ(batch_space.cache_hits(), serial_space.cache_hits());
-  EXPECT_EQ(batch_space.cache_misses(), serial_space.cache_misses());
 }
 
 TEST(SkeletonSpaceBatchTest, FourThreadBatchIsByteIdenticalToSerial) {

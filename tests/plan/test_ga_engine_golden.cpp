@@ -49,53 +49,53 @@ struct Golden {
 
 // Generated via MARS_REGEN_GOLDENS — see the header comment.
 constexpr Golden kGoldens[] = {
-    {"alexnet", "tiny", 26, 4, "completed", 28, 56, 0x5479d02895b8566cull,
+    {"alexnet", "tiny", 26, 4, "completed", 28, 56, 0x9f2c0b784a6b95b0ull,
      0, 0, 0x4f471f235ff9eac7ull, 0.0047872797499999998},
     {"alexnet", "flat", 38, 5, "completed", 0, 0, 0xcbf29ce484222325ull,
      0, 0, 0x8b0ee044afa643c7ull, 0.0070800331562499994},
-    {"alexnet", "no-profiled-init", 38, 5, "completed", 44, 66, 0xb23d7cf9c15d1434ull,
+    {"alexnet", "no-profiled-init", 38, 5, "completed", 44, 66, 0x98ddb9847791b477ull,
      0, 0, 0x9818f41cd7047d76ull, 0.0046076157499999994},
-    {"alexnet", "no-refine", 26, 4, "completed", 28, 56, 0x5479d02895b8566cull,
+    {"alexnet", "no-refine", 26, 4, "completed", 28, 56, 0x9f2c0b784a6b95b0ull,
      0, 0, 0x4f471f235ff9eac7ull, 0.0047873917499999998},
-    {"alexnet", "no-ss", 26, 4, "completed", 28, 56, 0x5479d02895b8566cull,
+    {"alexnet", "no-ss", 26, 4, "completed", 28, 56, 0x9f2c0b784a6b95b0ull,
      0, 0, 0x4f471f235ff9eac7ull, 0.0047872797499999998},
-    {"alexnet", "no-heuristics", 38, 5, "completed", 140, 66, 0x395844866d74335aull,
+    {"alexnet", "no-heuristics", 38, 5, "completed", 140, 66, 0x3b555f99555d3c46ull,
      0, 0, 0xbde9588e6f3c24ebull, 0.0095413506250000002},
-    {"alexnet", "eval-budget-30", 26, 4, "completed", 28, 56, 0x5479d02895b8566cull,
+    {"alexnet", "eval-budget-30", 26, 4, "completed", 28, 56, 0x9f2c0b784a6b95b0ull,
      5, 0, 0x4f471f235ff9eac7ull, 0.0047872797499999998},
-    {"alexnet", "progress", 26, 4, "completed", 28, 56, 0x5479d02895b8566cull,
+    {"alexnet", "progress", 26, 4, "completed", 28, 56, 0x9f2c0b784a6b95b0ull,
      5, 4, 0x4f471f235ff9eac7ull, 0.0047872797499999998},
-    {"resnet34", "tiny", 38, 5, "completed", 37, 78, 0x2b0bfabdef1bbcb4ull,
+    {"resnet34", "tiny", 38, 5, "completed", 37, 78, 0x58cd646264c4b5d4ull,
      0, 0, 0x49f367318fe91759ull, 0.01345665175},
     {"resnet34", "flat", 38, 5, "completed", 0, 0, 0xcbf29ce484222325ull,
      0, 0, 0xccca346db5d563ecull, 0.043473146499999997},
-    {"resnet34", "no-profiled-init", 26, 4, "completed", 17, 77, 0xb27cf3bde2384629ull,
+    {"resnet34", "no-profiled-init", 26, 4, "completed", 17, 77, 0x72d615079087c51dull,
      0, 0, 0xe102d18d63c52c1dull, 0.013462995750000002},
-    {"resnet34", "no-refine", 38, 5, "completed", 37, 78, 0x2b0bfabdef1bbcb4ull,
+    {"resnet34", "no-refine", 38, 5, "completed", 37, 78, 0x58cd646264c4b5d4ull,
      0, 0, 0x49f367318fe91759ull, 0.013462995749999998},
-    {"resnet34", "no-ss", 38, 5, "completed", 37, 78, 0x2b0bfabdef1bbcb4ull,
+    {"resnet34", "no-ss", 38, 5, "completed", 37, 78, 0x58cd646264c4b5d4ull,
      0, 0, 0x49f367318fe91759ull, 0.01345665175},
-    {"resnet34", "no-heuristics", 38, 5, "completed", 88, 160, 0x89196ef6d8f3a144ull,
+    {"resnet34", "no-heuristics", 38, 5, "completed", 88, 160, 0x4c026c3a20466c54ull,
      0, 0, 0x952268db784bb70dull, 0.034820386625000005},
-    {"resnet34", "eval-budget-30", 32, 5, "evaluation-budget", 29, 74, 0x9087c7ca0a0c72e1ull,
+    {"resnet34", "eval-budget-30", 32, 5, "evaluation-budget", 29, 74, 0x91eeed4d883c2551ull,
      6, 0, 0x49f367318fe91759ull, 0.013462995749999998},
-    {"resnet34", "progress", 38, 5, "completed", 37, 78, 0x2b0bfabdef1bbcb4ull,
+    {"resnet34", "progress", 38, 5, "completed", 37, 78, 0x58cd646264c4b5d4ull,
      6, 6, 0x49f367318fe91759ull, 0.01345665175},
-    {"casia_surf", "tiny", 26, 4, "completed", 13, 84, 0x4d8d71817ba235e1ull,
+    {"casia_surf", "tiny", 26, 4, "completed", 13, 84, 0x5e04fb8283912eefull,
      0, 0, 0x16602a961ed6ee26ull, 0.016712420625000005},
     {"casia_surf", "flat", 38, 5, "completed", 0, 0, 0xcbf29ce484222325ull,
      0, 0, 0xe2d4a024916516bbull, 0.049751588062499998},
-    {"casia_surf", "no-profiled-init", 32, 5, "completed", 21, 67, 0x192eb05016600418ull,
+    {"casia_surf", "no-profiled-init", 32, 5, "completed", 21, 67, 0x6d0c94aa45cf4609ull,
      0, 0, 0xe5584c11bd1f84c6ull, 0.020683376312500005},
-    {"casia_surf", "no-refine", 26, 4, "completed", 13, 84, 0x4d8d71817ba235e1ull,
+    {"casia_surf", "no-refine", 26, 4, "completed", 13, 84, 0x5e04fb8283912eefull,
      0, 0, 0x16602a961ed6ee26ull, 0.016712420625000005},
-    {"casia_surf", "no-ss", 26, 4, "completed", 13, 84, 0x4d8d71817ba235e1ull,
+    {"casia_surf", "no-ss", 26, 4, "completed", 13, 84, 0x5e04fb8283912eefull,
      0, 0, 0x16602a961ed6ee26ull, 0.016710492625000004},
-    {"casia_surf", "no-heuristics", 38, 5, "completed", 137, 158, 0x7120be361a58e3dcull,
+    {"casia_surf", "no-heuristics", 38, 5, "completed", 137, 158, 0x10814a958d06ab48ull,
      0, 0, 0x677b8ac352532de7ull, 0.045479192124999998},
-    {"casia_surf", "eval-budget-30", 26, 4, "completed", 13, 84, 0x4d8d71817ba235e1ull,
+    {"casia_surf", "eval-budget-30", 26, 4, "completed", 13, 84, 0x5e04fb8283912eefull,
      5, 0, 0x16602a961ed6ee26ull, 0.016712420625000005},
-    {"casia_surf", "progress", 26, 4, "completed", 13, 84, 0x4d8d71817ba235e1ull,
+    {"casia_surf", "progress", 26, 4, "completed", 13, 84, 0x5e04fb8283912eefull,
      5, 4, 0x16602a961ed6ee26ull, 0.016712420625000005},
 };
 
