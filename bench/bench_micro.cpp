@@ -17,6 +17,7 @@
 #include "mars/parallel/sharding.h"
 #include "mars/plan/planner.h"
 #include "mars/topology/presets.h"
+#include "mars/util/worker_pool.h"
 
 namespace {
 
@@ -104,11 +105,12 @@ void BM_SkeletonFitness(benchmark::State& state) {
   const auto& fx = fixture();
   // Steady-state cost: after the first (miss) call this measures the
   // memoised path plus the DAG aggregation — what the inner GA/SA loop
-  // pays for a revisited skeleton.
+  // pays for a revisited skeleton, priced as a one-skeleton batch.
   core::SkeletonSpace space(fx.problem, {});
-  const core::Skeleton skeleton = space.baseline();
+  util::WorkerPool caller(1);
+  const std::vector<core::Skeleton> skeleton{space.baseline()};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(space.fitness(skeleton));
+    benchmark::DoNotOptimize(space.fitness_batch(skeleton, caller));
   }
 }
 BENCHMARK(BM_SkeletonFitness);
@@ -159,13 +161,14 @@ void BM_GenomeBatchFitness(benchmark::State& state) {
                           ga.gene_lo, ga.gene_hi, rng);
     }
   }
+  util::WorkerPool caller(1);
   for (const auto& cohort : cohorts) {  // warm the second-level memo
-    benchmark::DoNotOptimize(space.fitness_batch(cohort, nullptr));
+    benchmark::DoNotOptimize(space.fitness_batch(cohort, caller));
   }
   long evals = 0;
   for (auto _ : state) {
     for (const auto& cohort : cohorts) {
-      benchmark::DoNotOptimize(space.fitness_batch(cohort, nullptr));
+      benchmark::DoNotOptimize(space.fitness_batch(cohort, caller));
       evals += static_cast<long>(cohort.size());
     }
   }

@@ -20,8 +20,11 @@ core::Mapping random_mapping(const plan::Planner& planner, Rng& rng) {
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     priorities.push_back(rng.uniform());
   }
-  const std::vector<topology::AccMask> partition =
-      topology::decode_partition(planner.topology(), candidates, priorities);
+  std::vector<topology::AccMask> partition;
+  for (const std::size_t index :
+       topology::decode_partition(planner.topology(), candidates, priorities)) {
+    partition.push_back(candidates[index].mask);
+  }
 
   // Random contiguous allocation over the chosen sets.
   std::vector<int> cuts{0, n};

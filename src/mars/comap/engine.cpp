@@ -155,10 +155,7 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
   ServingObjective objective(problem);
   plan::BudgetMeter meter(budget);
   // One pool prices both the inner plans and the rollouts.
-  std::unique_ptr<util::WorkerPool> pool;
-  if (config_.threads > 1) {
-    pool = std::make_unique<util::WorkerPool>(config_.threads);
-  }
+  util::WorkerPool pool(config_.threads);
 
   // ---- per-(tenant, slice) inner plans, memoised and cache-composed ----
   // Each inner search runs single-threaded; a sweep fans its distinct
@@ -223,7 +220,7 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
       }));
     }
     const std::vector<const InnerPlan*>& planned =
-        sweep.resolve(pool.get(), [&](const InnerJob& job) {
+        sweep.resolve(pool, [&](const InnerJob& job) {
           if (job.cached.has_value()) {
             plan::Provenance provenance;
             provenance.engine = inner_engine.name();
@@ -400,10 +397,7 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
     }
 
     const ga::BatchFitnessFn batch = [&](const std::vector<ga::Genome>& genomes) {
-      return objective.score_batch(materialize(genomes), pool.get());
-    };
-    const ga::FitnessFn fitness_one = [&](const ga::Genome& genome) {
-      return batch({genome}).front();
+      return objective.score_batch(materialize(genomes), pool);
     };
     const ga::StopFn stop = [&](long long evals, double best) {
       if (progress) {
@@ -416,7 +410,7 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
     const ga::GaEngine outer(config_.ga, genome_size);
     Rng rng(config_.seed);
     const ga::GaResult ga_result =
-        outer.minimize(fitness_one, rng, seeds, stop, batch);
+        outer.minimize(batch, rng, seeds, stop);
     evaluations += ga_result.evaluations;
     generations = ga_result.generations_run;
 

@@ -35,23 +35,23 @@
 // independent planning under the rollout objective, by construction.
 //
 // Determinism: the outer GA's genome stream is independent of evaluation
-// (ga::GaEngine contract). One WorkerPool of `threads` runs both pricing
-// steps of a batch, each a util::MemoBatch sweep: first the inner plans
-// (every genome's (tenant, slice) keys probed in genome order, the new
-// ones claimed by the pool's threads one search at a time, each search
-// single-threaded and so byte-identical to a serial one; mapping-cache
-// loads stay in the serial probe and stores in first-seen order after the
-// searches), then the rollouts through ServingObjective::score_batch. The
-// independent plans and the single-genome paths go through the same
-// sweeps. Every inner search of one tenant prices its second-level memo
-// misses through that tenant's core::SetPriceTable, which lives for one
-// search() call: it computes each set key once, whichever search on
-// whichever thread asks first, and returns the same value a search's own
-// greedy() would. Mappings, scores and every memo counter (the tables'
-// `comap.sets.*` included) are byte-identical at any `threads`, which is
-// why `threads` (like everywhere else) never appears in the spec_string.
-// (Interleave's per-tenant second level still completes candidates
-// serially.)
+// (ga::GaEngine contract). One WorkerPool of `threads` (one thread is the
+// serial case) runs both pricing steps of a batch, each a util::MemoBatch
+// sweep: first the inner plans (every genome's (tenant, slice) keys probed
+// in genome order, the new ones claimed by the pool's threads one search at
+// a time, each search single-threaded and so byte-identical to a serial one;
+// mapping-cache loads stay in the serial probe and stores in first-seen
+// order after the searches), then the rollouts through
+// ServingObjective::score_batch. The independent plans and the single-genome
+// paths go through the same sweeps. Every inner search of one tenant prices
+// its second-level memo misses through that tenant's core::SetPriceTable,
+// which lives for one search() call: it computes each set key once,
+// whichever search on whichever thread asks first, and returns the same
+// value a search's own greedy() would. Mappings, scores and every memo
+// counter (the tables' `comap.sets.*` included) are byte-identical at any
+// `threads`, which is why `threads` (like everywhere else) never appears in
+// the spec_string. (Interleave's per-tenant second level still completes
+// candidates serially.)
 #pragma once
 
 #include <cstdint>

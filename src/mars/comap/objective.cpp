@@ -137,11 +137,12 @@ ServingObjective::Score ServingObjective::rollout(
 }
 
 ServingObjective::Score ServingObjective::score(const CandidatePlan& plan) {
-  return *score_all({&plan, 1}, nullptr).front();
+  util::WorkerPool caller(1);
+  return *score_all({&plan, 1}, caller).front();
 }
 
 std::vector<double> ServingObjective::score_batch(
-    const std::vector<CandidatePlan>& plans, util::WorkerPool* pool) {
+    const std::vector<CandidatePlan>& plans, util::WorkerPool& pool) {
   std::vector<double> fitness;
   fitness.reserve(plans.size());
   for (const Score* score : score_all(plans, pool)) {
@@ -151,7 +152,7 @@ std::vector<double> ServingObjective::score_batch(
 }
 
 std::vector<const ServingObjective::Score*> ServingObjective::score_all(
-    std::span<const CandidatePlan> plans, util::WorkerPool* pool) {
+    std::span<const CandidatePlan> plans, util::WorkerPool& pool) {
   // Signatures and artifacts are materialised during the serial probe (the
   // artifact memo mutates); the rollouts are the sweep's parallel step.
   RolloutMemo::Sweep sweep = rollouts_.sweep();

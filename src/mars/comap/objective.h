@@ -17,16 +17,16 @@
 // Determinism contract: score_batch is one util::MemoBatch sweep keyed by
 // candidate signature. Per-tenant artifacts are materialised during the
 // serial probe; the deduped missing rollouts (each a pure function of its
-// candidate + the shared arrival stream) are priced on a util::WorkerPool
-// and published in first-seen order, and score() is the same sweep over
-// one candidate. Fitness values AND the hit/miss counters are
-// byte-identical at any thread count. Candidate identity combines each
-// tenant's mapping_signature: an FNV-1a hash of the tenant and, per set,
-// its accelerators, design, layer range and every strategy's ES
-// (dim, ways) list and SS dim — the fields the lossless core/serialize.*
-// form carries that vary within one tenant. Two structurally equal
-// mappings therefore always share one rollout, and any differing field
-// gives a different signature (modulo a 64-bit collision).
+// candidate + the shared arrival stream) are priced on the caller's
+// util::WorkerPool and published in first-seen order, and score() is the
+// same sweep over one candidate, priced on the calling thread. Fitness
+// values AND the hit/miss counters are byte-identical at any thread count.
+// Candidate identity combines each tenant's mapping_signature: an FNV-1a
+// hash of the tenant and, per set, its accelerators, design, layer range and
+// every strategy's ES (dim, ways) list and SS dim — the fields the lossless
+// core/serialize.* form carries that vary within one tenant. Two
+// structurally equal mappings therefore always share one rollout, and any
+// differing field gives a different signature (modulo a 64-bit collision).
 //
 // Rollouts run with SchedulerOptions::quiet — a search replays thousands
 // of candidate fleets; none of them may leak into the user's trace or
@@ -81,14 +81,15 @@ class ServingObjective {
     }
   };
 
-  /// Memoised single-candidate score (charges one rollout hit or miss).
+  /// Memoised single-candidate score (charges one rollout hit or miss),
+  /// priced on the calling thread.
   [[nodiscard]] Score score(const CandidatePlan& plan);
 
-  /// Memoised batch pricing: fitness per candidate, same order. See the
-  /// determinism contract above; `pool == nullptr` runs the identical
-  /// code path single-threaded.
+  /// Memoised batch pricing: fitness per candidate, same order, with the
+  /// missing rollouts priced across `pool`. See the determinism contract
+  /// above.
   [[nodiscard]] std::vector<double> score_batch(
-      const std::vector<CandidatePlan>& plans, util::WorkerPool* pool = nullptr);
+      const std::vector<CandidatePlan>& plans, util::WorkerPool& pool);
 
   [[nodiscard]] std::size_t num_tenants() const { return planners_.size(); }
   [[nodiscard]] const plan::Planner& planner(std::size_t t) const;
@@ -135,7 +136,7 @@ class ServingObjective {
   [[nodiscard]] Score rollout(const std::vector<const Artifact*>& artifacts) const;
   /// One memo sweep over `plans`: the score of each, in order.
   [[nodiscard]] std::vector<const Score*> score_all(
-      std::span<const CandidatePlan> plans, util::WorkerPool* pool);
+      std::span<const CandidatePlan> plans, util::WorkerPool& pool);
 
   const CoMapProblem* problem_;
   std::vector<plan::Planner> planners_;

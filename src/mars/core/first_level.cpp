@@ -69,30 +69,25 @@ Skeleton FirstLevelCodec::decode(const ga::Genome& genome) const {
   const double* design_genes = genome.data() + c;
   const double* share_genes = genome.data() + c + c * d;
 
-  const std::vector<topology::AccMask> partition =
-      topology::decode_partition(*problem_->topo, candidates_,
-                                 std::vector<double>(prio, prio + c),
-                                 problem_->placement_mask());
+  const std::vector<std::size_t> partition = topology::decode_partition(
+      *problem_->topo, candidates_,
+      {prio, static_cast<std::size_t>(c)}, problem_->placement_mask());
 
   // Shares: proportional layer allocation with a small floor so a set only
-  // drops out when its gene is pushed firmly to zero. Scratch buffers are
+  // drops out when its gene is pushed firmly to zero. The scratch buffer is
   // thread_local because this is the hottest decode path and fitness_batch
   // fans decodes across the worker pool.
-  thread_local std::vector<int> candidate;
   thread_local std::vector<double> shares;
-  candidate.clear();
   shares.clear();
   double share_sum = 0.0;
-  for (topology::AccMask mask : partition) {
-    const int index = candidate_index(mask);
-    candidate.push_back(index);
+  for (const std::size_t index : partition) {
     const double share = std::max(0.0, share_genes[index]);
     shares.push_back(share);
     share_sum += share;
   }
   if (share_sum <= 0.0) {
-    shares.assign(candidate.size(), 1.0);
-    share_sum = static_cast<double>(candidate.size());
+    shares.assign(partition.size(), 1.0);
+    share_sum = static_cast<double>(partition.size());
   }
   const std::vector<int> counts =
       largest_remainder(problem_->spine->size(), shares, share_sum);
@@ -102,13 +97,13 @@ Skeleton FirstLevelCodec::decode(const ga::Genome& genome) const {
   for (std::size_t i = 0; i < partition.size(); ++i) {
     if (counts[i] == 0) continue;  // unused set: accelerators idle
     LayerAssignment set;
-    set.accs = partition[i];
+    set.accs = candidates_[partition[i]].mask;
     set.begin = cursor;
     set.end = cursor + counts[i];
     cursor = set.end;
     if (problem_->adaptive) {
       // Argmax of the candidate's design genes, ties to the lower design.
-      const double* genes = design_genes + candidate[i] * d;
+      const double* genes = design_genes + partition[i] * d;
       set.design = static_cast<accel::DesignId>(
           std::max_element(genes, genes + d) - genes);
     }

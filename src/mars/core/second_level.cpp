@@ -239,10 +239,14 @@ SecondLevelResult SecondLevelSearch::refine(
   const int genome_size = kGenesPerLayer * skeleton.num_layers();
   ga::GaEngine engine(config_.ga, genome_size);
 
-  auto fitness = [&](const ga::Genome& genome) {
-    LayerAssignment candidate = skeleton;
-    candidate.strategies = decode_all(skeleton, genome);
-    return model_.set_cost(candidate).penalized.count();
+  const ga::BatchFitnessFn fitness = [&](const std::vector<ga::Genome>& genomes) {
+    std::vector<double> values;
+    for (const ga::Genome& genome : genomes) {
+      LayerAssignment candidate = skeleton;
+      candidate.strategies = decode_all(skeleton, genome);
+      values.push_back(model_.set_cost(candidate).penalized.count());
+    }
+    return values;
   };
 
   // Seed: encode the provided strategies (or the greedy solution) as genes

@@ -96,12 +96,6 @@ SkeletonSpace::~SkeletonSpace() {
   }
 }
 
-Seconds SkeletonSpace::set_latency(const LayerAssignment& set) {
-  return memo_.get(SetKey::of(set), &set, [this](const LayerAssignment* input) {
-    return price_miss(*input);
-  });
-}
-
 Seconds SkeletonSpace::price_miss(const LayerAssignment& set) const {
   if (problem_->set_prices != nullptr) {
     return problem_->set_prices->price(set, second_);
@@ -109,21 +103,8 @@ Seconds SkeletonSpace::price_miss(const LayerAssignment& set) const {
   return second_.greedy(set).cost.penalized;
 }
 
-double SkeletonSpace::fitness(const Skeleton& skeleton) {
-  // Per-set penalized latencies aggregated over the set dependency DAG
-  // (models branch overlap for multi-stream workloads).
-  std::vector<Seconds> latencies;
-  latencies.reserve(skeleton.sets.size());
-  for (const LayerAssignment& set : skeleton.sets) {
-    latencies.push_back(set_latency(set));
-  }
-  return evaluator_.analytical()
-      .aggregate_makespan(skeleton.sets, latencies)
-      .count();
-}
-
 std::vector<double> SkeletonSpace::fitness_batch(
-    const std::vector<Skeleton>& skeletons, util::WorkerPool* pool) {
+    const std::vector<Skeleton>& skeletons, util::WorkerPool& pool) {
   // One memo sweep over every set of every skeleton, in batch order.
   Memo::Sweep sweep = memo_.sweep();
   std::vector<std::vector<Seconds>> latencies(skeletons.size());
@@ -149,6 +130,8 @@ std::vector<double> SkeletonSpace::fitness_batch(
     *latency = sweep[ticket];
   }
 
+  // Per-set penalized latencies aggregated over the set dependency DAG
+  // (models branch overlap for multi-stream workloads).
   std::vector<double> fitnesses;
   fitnesses.reserve(skeletons.size());
   for (std::size_t i = 0; i < skeletons.size(); ++i) {
@@ -160,16 +143,11 @@ std::vector<double> SkeletonSpace::fitness_batch(
 }
 
 std::vector<double> SkeletonSpace::fitness_batch(
-    const std::vector<ga::Genome>& genomes, util::WorkerPool* pool) {
+    const std::vector<ga::Genome>& genomes, util::WorkerPool& pool) {
   std::vector<Skeleton> skeletons(genomes.size());
-  const auto decode = [&](std::size_t i) {
+  pool.parallel_for(genomes.size(), [&](std::size_t i) {
     skeletons[i] = codec_.decode(genomes[i]);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(genomes.size(), decode);
-  } else {
-    for (std::size_t i = 0; i < genomes.size(); ++i) decode(i);
-  }
+  });
   return fitness_batch(skeletons, pool);
 }
 

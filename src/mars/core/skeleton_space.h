@@ -9,13 +9,14 @@
 // their acceptance rule.
 //
 // Ownership: a non-owning pointer to the Problem — the caller keeps the
-// spine/topology/registry alive for this object's lifetime. fitness()
-// memoises per (layer range, AccSet, design), so sharing one
-// SkeletonSpace across a search amortises second-level work.
+// spine/topology/registry alive for this object's lifetime.
+// fitness_batch() memoises per (layer range, AccSet, design), so sharing
+// one SkeletonSpace across a search amortises second-level work.
 //
-// Parallelism: fitness_batch() prices many skeletons as one
-// util::MemoBatch sweep, fanning the uncached second-level searches across
-// a util::WorkerPool. Results are byte-identical to serial evaluation (the
+// Parallelism: fitness_batch() is the only way to price a skeleton. It
+// prices a batch as one util::MemoBatch sweep, fanning the uncached
+// second-level searches across the caller's util::WorkerPool (a one-thread
+// pool is the serial case). Results are the same at any thread count (the
 // greedy oracle is a pure function of the cache key), and so are the
 // hit/miss counters: the first appearance of a key in a batch is the miss,
 // every later one a hit, exactly as a serial left-to-right sweep would
@@ -145,18 +146,14 @@ class SkeletonSpace {
     return profile_.design_scores();
   }
 
-  /// Penalized analytic makespan of `skeleton` with second-level greedy
-  /// strategies (memoised) — the fitness every skeleton search minimises.
-  [[nodiscard]] double fitness(const Skeleton& skeleton);
-
-  /// fitness() over a whole batch. When `pool` is non-null the uncached
-  /// second-level searches (the expensive part — each is an independent
-  /// pure function of its key) run across the pool; the dedupe, the cache
-  /// insertion order, and the returned values are identical to evaluating
-  /// the batch serially, at any thread count. `pool == nullptr` runs the
-  /// same code path single-threaded.
+  /// The fitness every skeleton search minimises, per skeleton: the
+  /// penalized analytic makespan with second-level greedy strategies
+  /// (memoised). The uncached second-level searches (the expensive part —
+  /// each an independent pure function of its key) run across `pool`; the
+  /// dedupe, the memo insertion order and the returned values are the
+  /// same at any thread count.
   [[nodiscard]] std::vector<double> fitness_batch(
-      const std::vector<Skeleton>& skeletons, util::WorkerPool* pool = nullptr);
+      const std::vector<Skeleton>& skeletons, util::WorkerPool& pool);
 
   /// decode + fitness_batch in one call — the one primitive every genome
   /// search (GA cohorts, anneal proposals, random samples) prices with.
@@ -164,7 +161,7 @@ class SkeletonSpace {
   /// decodes a genome cannot change the result), and nothing is kept per
   /// genome: the memo is the only state a search accumulates.
   [[nodiscard]] std::vector<double> fitness_batch(
-      const std::vector<ga::Genome>& genomes, util::WorkerPool* pool = nullptr);
+      const std::vector<ga::Genome>& genomes, util::WorkerPool& pool);
 
   /// `skeleton` with its second-level greedy strategies filled in.
   [[nodiscard]] Mapping complete(const Skeleton& skeleton);
@@ -191,8 +188,6 @@ class SkeletonSpace {
   }
 
  private:
-  /// The set's penalized second-level latency, through the memo.
-  [[nodiscard]] Seconds set_latency(const LayerAssignment& set);
   /// A memo miss: the set's penalized greedy latency, through the lent
   /// SetPriceTable when the problem carries one. Safe on any thread.
   [[nodiscard]] Seconds price_miss(const LayerAssignment& set) const;

@@ -104,7 +104,7 @@ PointPricer::PointPricer(std::string model, const DesignSpace& space,
       inner_(&inner),
       inner_budget_(inner_budget),
       cache_(cache),
-      pool_(&pool) {
+      pool_(pool) {
   MARS_CHECK_ARG(inner.searches(),
                  "PointPricer needs a searching inner engine, got '"
                      << inner.name() << "'");

@@ -110,7 +110,7 @@ class PointPricer {
   const plan::SearchEngine* inner_;
   plan::Budget inner_budget_;
   const serve::MappingCache* cache_;
-  util::WorkerPool* pool_;
+  util::WorkerPool& pool_;
   using Memo = util::MemoBatch<std::string, PointOutcome, const HardwarePoint*>;
   Memo memo_;  // by point spec
   std::vector<const PointOutcome*> order_;

@@ -42,10 +42,9 @@ GaEngine::GaEngine(GaConfig config, int genome_size)
                  "GA genome must have at least one gene, got " << genome_size);
 }
 
-GaResult GaEngine::minimize(const FitnessFn& fitness, Rng& rng,
+GaResult GaEngine::minimize(const BatchFitnessFn& batch, Rng& rng,
                             const std::vector<Genome>& seeds,
-                            const StopFn& stop,
-                            const BatchFitnessFn& batch) const {
+                            const StopFn& stop) const {
   const auto pop_size = static_cast<std::size_t>(config_.population);
   std::vector<Genome> population;
   population.reserve(pop_size);
@@ -62,16 +61,10 @@ GaResult GaEngine::minimize(const FitnessFn& fitness, Rng& rng,
   GaResult result;
   result.best_fitness = std::numeric_limits<double>::infinity();
 
-  // Scores for a group of genomes, through `batch` when provided (the
-  // parallel path) or `fitness` one by one. Non-finite values become +inf
-  // (maximally unfit), and the evaluation budget advances per genome.
+  // Scores for a cohort. Non-finite values become +inf (maximally unfit),
+  // and the evaluation budget advances per genome.
   auto evaluate_all = [&](const std::vector<Genome>& genomes) {
-    std::vector<double> values =
-        batch ? batch(genomes) : std::vector<double>();
-    if (!batch) {
-      values.reserve(genomes.size());
-      for (const Genome& genome : genomes) values.push_back(fitness(genome));
-    }
+    std::vector<double> values = batch(genomes);
     MARS_CHECK(values.size() == genomes.size(),
                "batch fitness returned " << values.size() << " scores for "
                                          << genomes.size() << " genomes");

@@ -3,6 +3,10 @@
 // Both MARS levels encode their decisions as priority genes in [0, 1] and
 // decode deterministically, so one engine serves both. Fitness is
 // minimised (latency in seconds). Deterministic under a fixed Rng.
+//
+// Threading: the engine itself is serial. It hands whole cohorts to a
+// BatchFitnessFn, and the caller decides where they are priced (the plan
+// engines and comap price them on a util::WorkerPool).
 #pragma once
 
 #include <functional>
@@ -13,9 +17,6 @@
 namespace mars::ga {
 
 using Genome = std::vector<double>;
-/// Lower is better. Return +inf (or any non-finite value) for invalid
-/// genomes — the engine treats them as maximally unfit.
-using FitnessFn = std::function<double(const Genome&)>;
 /// Cooperative stop hook, polled once per generation (after the initial
 /// population and after each evolved generation) with the running
 /// evaluation count and best fitness so far. Returning true ends the
@@ -23,13 +24,13 @@ using FitnessFn = std::function<double(const Genome&)>;
 /// generation granularity keeps runs deterministic under evaluation
 /// budgets (a run never stops mid-generation).
 using StopFn = std::function<bool(long long evaluations, double best_fitness)>;
-/// Optional batch evaluator: fitness for each genome, same order. When
-/// provided, the engine hands it whole populations (the initial one and
-/// each generation's offspring) instead of calling FitnessFn per genome —
-/// the hook for parallel fitness evaluation. Must return exactly the
-/// values the serial FitnessFn would: the engine's genome stream is
-/// independent of evaluation (selection/mutation draw from the Rng,
-/// evaluation does not), so equal values imply byte-identical searches.
+/// The fitness of each genome of a cohort, same order; lower is better.
+/// Return +inf (or any non-finite value) for invalid genomes — the engine
+/// treats them as maximally unfit. The engine hands it whole cohorts (the
+/// initial population, then each generation's offspring). Its genome
+/// stream is independent of evaluation (selection and mutation draw from
+/// the Rng, evaluation does not), so equal values imply byte-identical
+/// searches, however the batch is priced.
 using BatchFitnessFn =
     std::function<std::vector<double>(const std::vector<Genome>&)>;
 
@@ -68,16 +69,13 @@ class GaEngine {
  public:
   GaEngine(GaConfig config, int genome_size);
 
-  /// Runs the GA. `seeds` are injected into the initial population
-  /// verbatim (heuristic warm starts); the rest is uniform random.
-  /// `stop` (optional) is polled at generation boundaries for budget /
-  /// cancellation enforcement. `batch` (optional) evaluates whole
-  /// populations at once (parallel fitness); byte-identical to the serial
-  /// path as long as it returns the same values as `fitness`.
-  [[nodiscard]] GaResult minimize(const FitnessFn& fitness, Rng& rng,
+  /// Runs the GA, pricing every cohort through `batch`. `seeds` are
+  /// injected into the initial population verbatim (heuristic warm
+  /// starts); the rest is uniform random. `stop` (optional) is polled at
+  /// generation boundaries for budget / cancellation enforcement.
+  [[nodiscard]] GaResult minimize(const BatchFitnessFn& batch, Rng& rng,
                                   const std::vector<Genome>& seeds = {},
-                                  const StopFn& stop = {},
-                                  const BatchFitnessFn& batch = {}) const;
+                                  const StopFn& stop = {}) const;
 
   [[nodiscard]] const GaConfig& config() const { return config_; }
   [[nodiscard]] int genome_size() const { return genome_size_; }

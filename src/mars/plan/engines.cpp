@@ -24,12 +24,6 @@ namespace {
 /// `threads` by construction.
 constexpr int kProgressStride = 32;
 
-/// A fitness pool when `threads` asks for one; engines pass nullptr (the
-/// serial path) otherwise so a single-threaded search costs nothing.
-std::unique_ptr<util::WorkerPool> make_pool(int threads) {
-  return threads > 1 ? std::make_unique<util::WorkerPool>(threads) : nullptr;
-}
-
 /// Wall-domain search progress: evaluation-count and best-fitness counter
 /// lanes named after the engine. No-op without an installed recorder;
 /// search results never depend on whether tracing is on.
@@ -123,8 +117,8 @@ PlanResult GaEngine::search(const core::Problem& problem, const Budget& budget,
   const core::FirstLevelCodec& codec = space.codec();
   Rng rng(config_.seed);
   const std::vector<double> scores = space.design_scores();
-  // Shared by both GA arrangements; null (the serial path) at threads == 1.
-  const std::unique_ptr<util::WorkerPool> pool = make_pool(config_.threads);
+  // Shared by both GA arrangements; one thread is the serial case.
+  util::WorkerPool pool(config_.threads);
 
   ga::StopFn stop;
   long long last_reported = -1;
@@ -157,17 +151,13 @@ PlanResult GaEngine::search(const core::Problem& problem, const Budget& budget,
         seeds.push_back(codec.profiled_random(scores, rng));
       }
     }
-    auto fitness = [&](const ga::Genome& genome) {
-      return space.fitness(codec.decode(genome));
+    // Cohorts go through the one batch primitive. Its values do not
+    // depend on the pool, so the search is byte-identical at any thread
+    // count.
+    const ga::BatchFitnessFn batch = [&](const std::vector<ga::Genome>& genomes) {
+      return space.fitness_batch(genomes, pool);
     };
-    // Cohorts always go through the one batch primitive (pool may be null
-    // — it then runs the identical code single-threaded). It returns
-    // exactly the serial values, so the search itself is byte-identical at
-    // any thread count.
-    ga::BatchFitnessFn batch = [&](const std::vector<ga::Genome>& genomes) {
-      return space.fitness_batch(genomes, pool.get());
-    };
-    searched = engine.minimize(fitness, rng, seeds, stop, batch);
+    searched = engine.minimize(batch, rng, seeds, stop);
     mapping = space.complete(codec.decode(searched.best));
     // One more poll, so a budget the last generation spent skips polish.
     if (stop) (void)stop(searched.evaluations, searched.best_fitness);
@@ -198,29 +188,24 @@ PlanResult GaEngine::search(const core::Problem& problem, const Budget& budget,
     };
     const core::AnalyticalCostModel& analytical =
         space.evaluator().analytical();
-    auto fitness = [&](const ga::Genome& genome) {
-      const core::Mapping decoded = decode_flat(genome);
-      std::vector<Seconds> latencies;
-      latencies.reserve(decoded.sets.size());
-      for (const core::LayerAssignment& set : decoded.sets) {
-        latencies.push_back(analytical.set_cost(set).penalized);
-      }
-      return analytical.aggregate_makespan(decoded.sets, latencies).count();
-    };
     // Flat fitness touches no shared mutable state (no memo cache), so
     // the batch is a plain parallel map over the cohort.
-    ga::BatchFitnessFn batch;
-    if (pool) {
-      batch = [&](const std::vector<ga::Genome>& genomes) {
-        std::vector<double> values(genomes.size());
-        pool->parallel_for(genomes.size(), [&](std::size_t i) {
-          values[i] = fitness(genomes[i]);
-        });
-        return values;
-      };
-    }
+    const ga::BatchFitnessFn batch = [&](const std::vector<ga::Genome>& genomes) {
+      std::vector<double> values(genomes.size());
+      pool.parallel_for(genomes.size(), [&](std::size_t i) {
+        const core::Mapping decoded = decode_flat(genomes[i]);
+        std::vector<Seconds> latencies;
+        latencies.reserve(decoded.sets.size());
+        for (const core::LayerAssignment& set : decoded.sets) {
+          latencies.push_back(analytical.set_cost(set).penalized);
+        }
+        values[i] =
+            analytical.aggregate_makespan(decoded.sets, latencies).count();
+      });
+      return values;
+    };
     // The flat genome carries its own strategies: no polish pass.
-    searched = engine.minimize(fitness, rng, {}, stop, batch);
+    searched = engine.minimize(batch, rng, {}, stop);
     mapping = decode_flat(searched.best);
   }
   return finish(space, std::move(mapping), refine, rng,
@@ -279,7 +264,7 @@ PlanResult AnnealingEngine::search(const core::Problem& problem,
   core::SkeletonSpace space(problem,
                             {config_.second, config_.heuristic_candidates});
   const core::FirstLevelCodec& codec = space.codec();
-  const std::unique_ptr<util::WorkerPool> pool = make_pool(config_.threads);
+  util::WorkerPool pool(config_.threads);
   Rng master(config_.seed);
   const std::vector<double> scores = space.design_scores();
 
@@ -306,8 +291,7 @@ PlanResult AnnealingEngine::search(const core::Problem& problem,
     // All chains start from the baseline skeleton: one evaluation, shared.
     const ga::Genome start = codec.encode(space.baseline(), scores);
     const double fitness =
-        space.fitness_batch(std::vector<ga::Genome>{start}, pool.get())
-            .front();
+        space.fitness_batch(std::vector<ga::Genome>{start}, pool).front();
     evaluations = 1;
     for (int c = 0; c < chains; ++c) {
       current[static_cast<std::size_t>(c)] = start;
@@ -320,7 +304,7 @@ PlanResult AnnealingEngine::search(const core::Problem& problem,
       starts.push_back(
           codec.profiled_random(scores, rngs[static_cast<std::size_t>(c)]));
     }
-    current_fitness = space.fitness_batch(starts, pool.get());
+    current_fitness = space.fitness_batch(starts, pool);
     current = std::move(starts);
     evaluations = chains;
   }
@@ -370,7 +354,7 @@ PlanResult AnnealingEngine::search(const core::Problem& problem,
       proposals.push_back(std::move(proposal));
     }
     const std::vector<double> proposal_fitness =
-        space.fitness_batch(proposals, pool.get());
+        space.fitness_batch(proposals, pool);
     evaluations += static_cast<long long>(active);
 
     for (std::size_t c = 0; c < active; ++c) {
@@ -445,7 +429,7 @@ PlanResult RandomEngine::search(const core::Problem& problem,
   core::SkeletonSpace space(problem,
                             {config_.second, config_.heuristic_candidates});
   const core::FirstLevelCodec& codec = space.codec();
-  const std::unique_ptr<util::WorkerPool> pool = make_pool(config_.threads);
+  util::WorkerPool pool(config_.threads);
   Rng rng(config_.seed);
   const std::vector<double> scores = space.design_scores();
 
@@ -485,8 +469,7 @@ PlanResult RandomEngine::search(const core::Problem& problem,
             ga::random_genome(codec.genome_size(), 0.0, 1.0, rng));
       }
     }
-    const std::vector<double> fitnesses =
-        space.fitness_batch(samples, pool.get());
+    const std::vector<double> fitnesses = space.fitness_batch(samples, pool);
     for (std::size_t i = 0; i < samples.size(); ++i) {
       ++evaluations;
       if (fitnesses[i] < best_fitness) {

@@ -77,10 +77,9 @@ std::vector<AccSetCandidate> accset_candidates(const Topology& topo, AccMask wit
   return candidates;
 }
 
-std::vector<AccMask> decode_partition(const Topology& topo,
-                                      const std::vector<AccSetCandidate>& candidates,
-                                      const std::vector<double>& priorities,
-                                      AccMask target) {
+std::vector<std::size_t> decode_partition(
+    const Topology& topo, const std::vector<AccSetCandidate>& candidates,
+    std::span<const double> priorities, AccMask target) {
   MARS_CHECK_ARG(priorities.size() == candidates.size(),
                  "one priority gene per candidate required");
   if (target == 0) target = topo.full_mask();
@@ -92,22 +91,27 @@ std::vector<AccMask> decode_partition(const Topology& topo,
     return priorities[a] > priorities[b];
   });
 
-  std::vector<AccMask> partition;
+  // The chosen indices are compacted to the front of `order`: slot `kept`
+  // never lies ahead of the index being read.
+  std::size_t kept = 0;
   AccMask covered = 0;
-  for (std::size_t index : order) {
-    const AccMask mask = candidates[index].mask;
-    if ((mask & ~target) != 0) continue;
-    if ((mask & covered) != 0) continue;
-    partition.push_back(mask);
+  for (std::size_t k = 0; k < order.size() && covered != target; ++k) {
+    const AccMask mask = candidates[order[k]].mask;
+    if ((mask & ~target) != 0 || (mask & covered) != 0) continue;
+    order[kept++] = order[k];
     covered |= mask;
-    if (covered == target) break;
   }
   MARS_CHECK(covered == target,
              "candidate family cannot tile the placement mask (missing singletons?)");
+  order.resize(kept);
   // Deterministic presentation order: by lowest member id.
-  std::sort(partition.begin(), partition.end(),
-            [](AccMask a, AccMask b) { return (a & ~(a - 1)) < (b & ~(b - 1)); });
-  return partition;
+  const auto lowest = [&](std::size_t i) {
+    const AccMask mask = candidates[i].mask;
+    return mask & ~(mask - 1);
+  };
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return lowest(a) < lowest(b); });
+  return order;
 }
 
 }  // namespace mars::topology

@@ -8,6 +8,7 @@
 // group) — form the candidate AccSets the first-level GA chooses from.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "mars/topology/topology.h"
@@ -33,11 +34,12 @@ struct AccSetCandidate {
 /// Greedy decode used by the GA: scanning candidates by descending gene
 /// priority, keep each candidate disjoint from what is already taken until
 /// the whole system is covered. `priorities` must align with `candidates`.
-/// Returns the chosen partition (masks tile the topology exactly). `target`
+/// Returns the indices of the chosen candidates, whose masks tile the
+/// topology exactly, sorted by the lowest member id of each mask. `target`
 /// restricts the decode to tiling the given placement mask (0 means the
 /// whole topology); candidates reaching outside `target` are skipped.
-[[nodiscard]] std::vector<AccMask> decode_partition(
+[[nodiscard]] std::vector<std::size_t> decode_partition(
     const Topology& topo, const std::vector<AccSetCandidate>& candidates,
-    const std::vector<double>& priorities, AccMask target = 0);
+    std::span<const double> priorities, AccMask target = 0);
 
 }  // namespace mars::topology

@@ -5,8 +5,7 @@
 //     bytes, so values match across platforms. Shard routing, mapping
 //     signatures and digests, and the mapping-cache fingerprint (it names
 //     on-disk cache files) use it.
-//   - word at a time: XOR a whole 64-bit word, multiply once. The skeleton
-//     memo and record table use it; the record slot is `hash % slots`.
+//   - word at a time: XOR a whole 64-bit word, multiply once.
 // Two offset bases are in use (see below), so every step takes its
 // starting hash explicitly. tests/util/test_hash.cpp pins all of them.
 #pragma once

@@ -2,8 +2,9 @@
 //
 //   probe (serial)     walk the batch in order; a memoised key returns its
 //                      value, a new key is scheduled with its input
-//   price (parallel)   price every scheduled input, across a WorkerPool
-//                      when given one
+//   price (parallel)   price every scheduled input across a WorkerPool (a
+//                      one-thread pool, or a one-input batch, prices on
+//                      the caller)
 //   publish (serial)   insert the values into the memo in first-seen order
 //
 // Hits and misses are charged as a serial left-to-right sweep would: a
@@ -64,19 +65,14 @@ class MemoBatch {
     }
 
     /// Prices every scheduled input with `price(const Input&) -> Value`
-    /// (across `pool` when non-null), then publishes in first-seen order.
-    /// Returns the published values in that order.
+    /// across `pool`, then publishes in first-seen order. Returns the
+    /// published values in that order.
     template <class Price>
-    const std::vector<const Value*>& resolve(WorkerPool* pool, Price&& price) {
+    const std::vector<const Value*>& resolve(WorkerPool& pool, Price&& price) {
       std::vector<Value> values(jobs_.size());
-      const auto run = [&](std::size_t j) {
+      pool.parallel_for(jobs_.size(), [&](std::size_t j) {
         values[j] = price(std::as_const(jobs_[j].second));
-      };
-      if (pool != nullptr && jobs_.size() > 1) {
-        pool->parallel_for(jobs_.size(), run);
-      } else {
-        for (std::size_t j = 0; j < jobs_.size(); ++j) run(j);
-      }
+      });
       for (std::size_t j = 0; j < jobs_.size(); ++j) {
         const auto it = owner_->memo_.emplace(std::move(jobs_[j].first),
                                               std::move(values[j]));
@@ -109,13 +105,14 @@ class MemoBatch {
   /// Opens a batch over this memo. One sweep at a time.
   [[nodiscard]] Sweep sweep() { return Sweep(*this); }
 
-  /// The one-key batch: probe, then price serially on a miss.
+  /// The one-key batch: probe, then price on the caller on a miss.
   template <class Price>
   const Value& get(const Key& key, Input input, Price&& price) {
     Sweep one = sweep();
     const Ticket ticket = one.probe(key, std::move(input));
-    return ticket.cached != nullptr ? *ticket.cached
-                                    : *one.resolve(nullptr, price).front();
+    if (ticket.cached != nullptr) return *ticket.cached;
+    WorkerPool caller(1);
+    return *one.resolve(caller, price).front();
   }
 
  private:

@@ -62,7 +62,12 @@ void WorkerPool::run_claims(int worker) {
 }
 
 void WorkerPool::parallel_for(std::size_t n, const IndexFn& fn) {
-  if (n == 0) return;
+  if (threads_ == 1 || n <= 1) {
+    // Nothing to share: a plain loop on the caller, with no lock, no
+    // wake-up and no round span. The first throw is the lowest index.
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     MARS_CHECK(job_ == nullptr, "WorkerPool::parallel_for re-entered");

@@ -13,9 +13,10 @@
 // No global state: each pool owns its threads and dies with them.
 // Thread-safety: parallel_for may be called repeatedly from the owning
 // thread but not concurrently with itself. The calling thread claims items
-// too, so a pool constructed with threads == 1 spawns nothing and
-// parallel_for degenerates to a plain loop (same code path, zero thread
-// overhead).
+// too. A round on a one-thread pool (which spawns nothing), or of a single
+// item, is a plain loop on the caller: no lock, no worker wake-up, no
+// `round` trace span. So a one-thread pool is the serial case, and callers
+// never need a null pool or a serial branch of their own.
 //
 // Exceptions: after the first item throws, no thread claims another item.
 // Once every claimed item has finished, the exception of the lowest
@@ -56,7 +57,8 @@ class WorkerPool {
 
   /// Runs `fn(i)` for every i in [0, n), claimed in index order by the
   /// caller and the workers; blocks until every claimed item has finished.
-  /// Rethrows the lowest-index exception, if any.
+  /// Rethrows the lowest-index exception, if any. At threads() == 1 or
+  /// n == 1 the caller runs the round alone, as a plain loop.
   void parallel_for(std::size_t n, const IndexFn& fn);
 
  private:

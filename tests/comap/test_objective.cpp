@@ -106,7 +106,8 @@ TEST_F(ObjectiveTest, BatchMatchesSerialScoreSweep) {
   for (const CandidatePlan& plan : plans) {
     expected.push_back(serial.score(plan).fitness);
   }
-  const std::vector<double> actual = batched.score_batch(plans);
+  util::WorkerPool caller(1);
+  const std::vector<double> actual = batched.score_batch(plans, caller);
 
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -123,11 +124,12 @@ TEST_F(ObjectiveTest, BatchChargesDuplicatesAsHits) {
   std::vector<CandidatePlan> plans = base;
   plans.push_back(base[1]);
   plans.push_back(base[1]);
-  (void)objective.score_batch(plans);
+  util::WorkerPool caller(1);
+  (void)objective.score_batch(plans, caller);
   EXPECT_EQ(objective.rollout_misses(), 5);
   EXPECT_EQ(objective.rollout_hits(), 2);
   // A repeat batch is all hits.
-  (void)objective.score_batch(plans);
+  (void)objective.score_batch(plans, caller);
   EXPECT_EQ(objective.rollout_misses(), 5);
   EXPECT_EQ(objective.rollout_hits(), 9);
 }
@@ -138,9 +140,10 @@ TEST_F(ObjectiveTest, WorkerPoolChangesNothing) {
   std::vector<CandidatePlan> plans = candidates(serial);
   plans.push_back(plans[2]);
 
-  const std::vector<double> reference = serial.score_batch(plans, nullptr);
+  util::WorkerPool caller(1);
+  const std::vector<double> reference = serial.score_batch(plans, caller);
   util::WorkerPool pool(4);
-  const std::vector<double> parallel = threaded.score_batch(plans, &pool);
+  const std::vector<double> parallel = threaded.score_batch(plans, pool);
 
   ASSERT_EQ(parallel.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {

@@ -1,6 +1,6 @@
-// The batch-evaluation contract of core::SkeletonSpace: fitness_batch is
-// byte-identical to serial fitness() — same values, same memo-cache
-// accounting — at any thread count (docs/PERFORMANCE.md).
+// The batch-evaluation contract of core::SkeletonSpace: fitness_batch
+// returns the memo-free oracle's values and charges the memo as a serial
+// sweep would, at any thread count (docs/PERFORMANCE.md).
 #include "mars/core/skeleton_space.h"
 
 #include <gtest/gtest.h>
@@ -19,23 +19,8 @@ namespace {
 using testing::AdaptiveFixture;
 using testing::FixedFixture;
 
-std::vector<Skeleton> sample_skeletons(SkeletonSpace& space, int count,
-                                       std::uint64_t seed) {
-  Rng rng(seed);
-  const std::vector<double> scores = space.design_scores();
-  std::vector<Skeleton> skeletons;
-  skeletons.reserve(static_cast<std::size_t>(count));
-  // Include the baseline (shared sets across samples exercise the dedupe
-  // path) plus profiled-random draws.
-  skeletons.push_back(space.baseline());
-  for (int i = 1; i < count; ++i) {
-    skeletons.push_back(
-        space.codec().decode(space.codec().profiled_random(scores, rng)));
-  }
-  return skeletons;
-}
-
-/// The encoded baseline plus profiled-random genomes.
+/// The encoded baseline (shared sets across samples exercise the dedupe
+/// path) plus profiled-random genomes.
 std::vector<ga::Genome> sample_genomes(const SkeletonSpace& space, int count,
                                        std::uint64_t seed) {
   Rng rng(seed);
@@ -49,50 +34,53 @@ std::vector<ga::Genome> sample_genomes(const SkeletonSpace& space, int count,
   return genomes;
 }
 
+/// sample_genomes, decoded.
+std::vector<Skeleton> sample_skeletons(const SkeletonSpace& space, int count,
+                                       std::uint64_t seed) {
+  std::vector<Skeleton> skeletons;
+  for (const ga::Genome& genome : sample_genomes(space, count, seed)) {
+    skeletons.push_back(space.codec().decode(genome));
+  }
+  return skeletons;
+}
+
 TEST(SkeletonSpaceBatchTest, BatchMatchesSerialFitnessBitForBit) {
-  // Fitness is a pure function of the skeleton. On fresh caches, serial
-  // fitness(), the skeleton batch and the genome batch return the same
-  // doubles and count hits and misses alike. On warm caches every path
-  // returns those doubles again and charges only hits.
+  // Fitness is a pure function of the skeleton. On fresh caches the
+  // skeleton batch and the genome batch return the memo-free oracle's
+  // doubles and charge what a serial sweep over the sets would: a miss for
+  // each distinct key, a hit for each repeat. On warm caches both return
+  // those doubles again and charge only hits.
   AdaptiveFixture adaptive;
   FixedFixture fixed;
+  util::WorkerPool caller(1);
   for (const Problem* problem : {&adaptive.problem, &fixed.problem}) {
     SCOPED_TRACE(problem->adaptive ? "adaptive" : "fixed");
-    SkeletonSpace serial_space(*problem, {{}, true});
     SkeletonSpace batch_space(*problem, {{}, true});
     SkeletonSpace genome_space(*problem, {{}, true});
-    const std::vector<ga::Genome> genomes = sample_genomes(serial_space, 24, 5);
-    std::vector<Skeleton> skeletons;
-    long long num_sets = 0;
-    for (const ga::Genome& genome : genomes) {
-      skeletons.push_back(serial_space.codec().decode(genome));
-      num_sets += static_cast<long long>(skeletons.back().sets.size());
-    }
-
-    std::vector<double> serial;
-    serial.reserve(skeletons.size());
+    const std::vector<ga::Genome> genomes = sample_genomes(batch_space, 24, 5);
+    const std::vector<Skeleton> skeletons =
+        sample_skeletons(batch_space, 24, 5);
+    std::vector<double> expected;
     for (const Skeleton& skeleton : skeletons) {
-      serial.push_back(serial_space.fitness(skeleton));
+      expected.push_back(oracle::skeleton_fitness(
+          batch_space.evaluator().analytical(), {}, skeleton));
     }
-    // Bit-equal, not just close.
-    EXPECT_EQ(batch_space.fitness_batch(skeletons, nullptr), serial);
-    EXPECT_EQ(genome_space.fitness_batch(genomes, nullptr), serial);
-    // The dedupe counts occurrences exactly as a serial left-to-right sweep.
-    for (const SkeletonSpace* space : {&batch_space, &genome_space}) {
-      EXPECT_EQ(space->cache_hits(), serial_space.cache_hits());
-      EXPECT_EQ(space->cache_misses(), serial_space.cache_misses());
-    }
+    std::set<SetKey> seen;
+    const oracle::SweepCounts fresh = oracle::count_sweep(skeletons, seen);
+    const oracle::SweepCounts warm = oracle::count_sweep(skeletons, seen);
+    ASSERT_GT(fresh.hits, 0);  // the samples share sets: dedupe runs
+    ASSERT_EQ(warm.misses, 0);
 
-    for (SkeletonSpace* space : {&serial_space, &batch_space, &genome_space}) {
-      const long long hits = space->cache_hits();
-      const long long misses = space->cache_misses();
-      for (std::size_t i = 0; i < skeletons.size(); ++i) {
-        EXPECT_EQ(space->fitness(skeletons[i]), serial[i]) << i;
-      }
-      EXPECT_EQ(space->fitness_batch(skeletons, nullptr), serial);
-      EXPECT_EQ(space->fitness_batch(genomes, nullptr), serial);
-      EXPECT_EQ(space->cache_hits(), hits + 3 * num_sets);
-      EXPECT_EQ(space->cache_misses(), misses);
+    // Bit-equal, not just close.
+    EXPECT_EQ(batch_space.fitness_batch(skeletons, caller), expected);
+    EXPECT_EQ(genome_space.fitness_batch(genomes, caller), expected);
+    for (SkeletonSpace* space : {&batch_space, &genome_space}) {
+      EXPECT_EQ(space->cache_hits(), fresh.hits);
+      EXPECT_EQ(space->cache_misses(), fresh.misses);
+      EXPECT_EQ(space->fitness_batch(skeletons, caller), expected);
+      EXPECT_EQ(space->fitness_batch(genomes, caller), expected);
+      EXPECT_EQ(space->cache_hits(), fresh.hits + 2 * warm.hits);
+      EXPECT_EQ(space->cache_misses(), fresh.misses);
     }
   }
 }
@@ -101,13 +89,13 @@ TEST(SkeletonSpaceBatchTest, FourThreadBatchIsByteIdenticalToSerial) {
   AdaptiveFixture fx;
   SkeletonSpace serial_space(fx.problem, {{}, true});
   SkeletonSpace threaded_space(fx.problem, {{}, true});
+  util::WorkerPool caller(1);
   util::WorkerPool pool(4);
 
-  const std::vector<double> serial =
-      serial_space.fitness_batch(sample_skeletons(serial_space, 32, 11),
-                                 nullptr);
+  const std::vector<double> serial = serial_space.fitness_batch(
+      sample_skeletons(serial_space, 32, 11), caller);
   const std::vector<double> threaded = threaded_space.fitness_batch(
-      sample_skeletons(threaded_space, 32, 11), &pool);
+      sample_skeletons(threaded_space, 32, 11), pool);
 
   EXPECT_EQ(serial, threaded);  // std::vector<double> bitwise equality
   EXPECT_EQ(serial_space.cache_hits(), threaded_space.cache_hits());
@@ -116,7 +104,7 @@ TEST(SkeletonSpaceBatchTest, FourThreadBatchIsByteIdenticalToSerial) {
   // A second batch over the same skeletons is all hits and still equal —
   // the warm path goes through the same aggregation.
   const std::vector<double> warm = threaded_space.fitness_batch(
-      sample_skeletons(threaded_space, 32, 11), &pool);
+      sample_skeletons(threaded_space, 32, 11), pool);
   EXPECT_EQ(serial, warm);
   EXPECT_EQ(threaded_space.cache_misses(), serial_space.cache_misses());
 }
@@ -124,31 +112,38 @@ TEST(SkeletonSpaceBatchTest, FourThreadBatchIsByteIdenticalToSerial) {
 TEST(SkeletonSpaceBatchTest, EmptyBatchIsANoOp) {
   AdaptiveFixture fx;
   SkeletonSpace space(fx.problem, {{}, true});
-  EXPECT_TRUE(space.fitness_batch(std::vector<Skeleton>{}, nullptr).empty());
+  util::WorkerPool caller(1);
+  EXPECT_TRUE(space.fitness_batch(std::vector<Skeleton>{}, caller).empty());
   EXPECT_EQ(space.cache_hits(), 0);
   EXPECT_EQ(space.cache_misses(), 0);
 }
 
 TEST(SkeletonSpaceBatchTest, BatchThenCompleteMatchesSerialSearchPath) {
-  // complete() after a threaded batch must see exactly the strategies a
-  // serial search would have memoised.
+  // complete() after a threaded batch fills in exactly the strategies the
+  // memo-free greedy oracle picks, and charges each set as a memo hit.
   AdaptiveFixture fx;
-  SkeletonSpace serial_space(fx.problem, {{}, true});
-  SkeletonSpace threaded_space(fx.problem, {{}, true});
+  SkeletonSpace space(fx.problem, {{}, true});
   util::WorkerPool pool(3);
 
-  const Skeleton baseline = serial_space.baseline();
-  (void)serial_space.fitness(baseline);
-  (void)threaded_space.fitness_batch({baseline}, &pool);
+  const std::vector<Skeleton> baseline{space.baseline()};
+  (void)space.fitness_batch(baseline, pool);
+  std::set<SetKey> seen;
+  const oracle::SweepCounts priced = oracle::count_sweep(baseline, seen);
+  EXPECT_EQ(space.cache_hits(), priced.hits);
+  EXPECT_EQ(space.cache_misses(), priced.misses);
 
-  const Mapping serial_mapping = serial_space.complete(baseline);
-  const Mapping threaded_mapping = threaded_space.complete(baseline);
-  ASSERT_EQ(serial_mapping.sets.size(), threaded_mapping.sets.size());
-  for (std::size_t i = 0; i < serial_mapping.sets.size(); ++i) {
-    EXPECT_EQ(serial_mapping.sets[i].strategies,
-              threaded_mapping.sets[i].strategies)
+  const Mapping mapping = space.complete(baseline.front());
+  const std::vector<LayerAssignment>& sets = baseline.front().sets;
+  ASSERT_EQ(mapping.sets.size(), sets.size());
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(mapping.sets[i].strategies,
+              oracle::greedy(space.evaluator().analytical(), {}, sets[i])
+                  .strategies)
         << i;
   }
+  EXPECT_EQ(space.cache_hits(),
+            priced.hits + static_cast<long long>(sets.size()));
+  EXPECT_EQ(space.cache_misses(), priced.misses);
 }
 
 /// Slices of the 8-accelerator F1 fleet, the full fleet (0) included.
@@ -180,20 +175,17 @@ TEST(SetPriceTableTest, BorrowingSpacesMatchOwnPricingAcrossPlacements) {
       lent_spaces.push_back(std::make_unique<SkeletonSpace>(
           lent[k], SkeletonSpace::Config{second}));
       skeletons.push_back(sample_skeletons(*own_spaces[k], 16, 3 + k));
-      for (const Skeleton& skeleton : skeletons[k]) {
-        for (const LayerAssignment& set : skeleton.sets) {
-          distinct.insert(SetKey::of(set));
-        }
-      }
+      (void)oracle::count_sweep(skeletons[k], distinct);
     }
 
     std::vector<std::vector<double>> own_values(kPlacements.size());
     std::vector<std::vector<double>> lent_values(kPlacements.size());
     const auto run = [&](std::size_t k) {
+      util::WorkerPool caller(1);
       // Twice: the second batch is all memo hits on both spaces.
       for (int pass = 0; pass < 2; ++pass) {
-        own_values[k] = own_spaces[k]->fitness_batch(skeletons[k], nullptr);
-        lent_values[k] = lent_spaces[k]->fitness_batch(skeletons[k], nullptr);
+        own_values[k] = own_spaces[k]->fitness_batch(skeletons[k], caller);
+        lent_values[k] = lent_spaces[k]->fitness_batch(skeletons[k], caller);
       }
     };
     util::WorkerPool pool(threads);
@@ -206,16 +198,11 @@ TEST(SetPriceTableTest, BorrowingSpacesMatchOwnPricingAcrossPlacements) {
       EXPECT_EQ(own_spaces[k]->cache_misses(), lent_spaces[k]->cache_misses());
       lookups += lent_spaces[k]->cache_misses();
       // The values are the reference greedy's, aggregated.
-      const AnalyticalCostModel& model =
-          lent_spaces[k]->evaluator().analytical();
       for (std::size_t i = 0; i < skeletons[k].size(); ++i) {
-        std::vector<Seconds> latencies;
-        for (const LayerAssignment& set : skeletons[k][i].sets) {
-          latencies.push_back(oracle::greedy(model, second, set).cost.penalized);
-        }
         EXPECT_EQ(lent_values[k][i],
-                  model.aggregate_makespan(skeletons[k][i].sets, latencies)
-                      .count())
+                  oracle::skeleton_fitness(
+                      lent_spaces[k]->evaluator().analytical(), second,
+                      skeletons[k][i]))
             << k << '/' << i;
       }
     }

@@ -7,16 +7,20 @@
 // filtered) and the spanning bytes (an O(edges) sum).
 //
 // Differential tests hold SecondLevelSearch::greedy and
-// AnalyticalCostModel::set_cost to it bit for bit.
+// AnalyticalCostModel::set_cost to it bit for bit, and
+// SkeletonSpace::fitness_batch to the memo-free skeleton_fitness and
+// count_sweep below.
 #pragma once
 
 #include <algorithm>
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "mars/core/second_level.h"
+#include "mars/core/skeleton_space.h"
 #include "mars/util/error.h"
 
 namespace mars::core::oracle {
@@ -195,6 +199,37 @@ inline SecondLevelResult greedy(const AnalyticalCostModel& model,
     }
   }
   return result;
+}
+
+/// `skeleton`'s fitness, with every set priced afresh.
+inline double skeleton_fitness(const AnalyticalCostModel& model,
+                               const SecondLevelConfig& config,
+                               const Skeleton& skeleton) {
+  std::vector<Seconds> latencies;
+  latencies.reserve(skeleton.sets.size());
+  for (const LayerAssignment& set : skeleton.sets) {
+    latencies.push_back(greedy(model, config, set).cost.penalized);
+  }
+  return model.aggregate_makespan(skeleton.sets, latencies).count();
+}
+
+struct SweepCounts {
+  long long hits = 0;
+  long long misses = 0;
+};
+
+/// The sweep's charges: a key's first appearance, counting the keys in
+/// `seen` (which this updates) as earlier sweeps, is a miss; any other
+/// appearance is a hit.
+inline SweepCounts count_sweep(const std::vector<Skeleton>& skeletons,
+                               std::set<SetKey>& seen) {
+  SweepCounts counts;
+  for (const Skeleton& skeleton : skeletons) {
+    for (const LayerAssignment& set : skeleton.sets) {
+      ++(seen.insert(SetKey::of(set)).second ? counts.misses : counts.hits);
+    }
+  }
+  return counts;
 }
 
 }  // namespace mars::core::oracle

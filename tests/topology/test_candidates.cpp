@@ -95,11 +95,11 @@ TEST(DecodePartition, HighestPriorityDisjointCover) {
       priorities[i] = 1.0;
     }
   }
-  const std::vector<AccMask> partition =
+  const std::vector<std::size_t> partition =
       decode_partition(topo, candidates, priorities);
   ASSERT_EQ(partition.size(), 2u);
-  EXPECT_EQ(partition[0], 0b00001111u);
-  EXPECT_EQ(partition[1], 0b11110000u);
+  EXPECT_EQ(candidates[partition[0]].mask, 0b00001111u);
+  EXPECT_EQ(candidates[partition[1]].mask, 0b11110000u);
 }
 
 TEST(DecodePartition, AlwaysTilesExactly) {
@@ -112,12 +112,16 @@ TEST(DecodePartition, AlwaysTilesExactly) {
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       priorities.push_back(rng.uniform());
     }
-    const std::vector<AccMask> partition =
-        decode_partition(topo, candidates, priorities);
     AccMask covered = 0;
-    for (AccMask mask : partition) {
+    AccMask last_lowest = 0;
+    for (const std::size_t index :
+         decode_partition(topo, candidates, priorities)) {
+      const AccMask mask = candidates[index].mask;
       EXPECT_EQ(covered & mask, 0u);  // disjoint
       covered |= mask;
+      // Presented by lowest member id.
+      EXPECT_GT(mask & ~(mask - 1), last_lowest);
+      last_lowest = mask & ~(mask - 1);
     }
     EXPECT_EQ(covered, topo.full_mask());
   }
@@ -126,7 +130,8 @@ TEST(DecodePartition, AlwaysTilesExactly) {
 TEST(DecodePartition, RejectsArityMismatch) {
   const Topology topo = f1_16xlarge();
   const std::vector<AccSetCandidate> candidates = accset_candidates(topo);
-  EXPECT_THROW((void)decode_partition(topo, candidates, {1.0}), InvalidArgument);
+  EXPECT_THROW((void)decode_partition(topo, candidates, std::vector{1.0}),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -32,9 +32,11 @@ struct Counted {
   Memo memo{&hits, &misses};
 };
 
-/// One batch through the memo: the value of each key, in input order.
+/// One batch through the memo, priced on a pool of `threads`: the value of
+/// each key, in input order.
 std::vector<long long> price(Memo& memo, const std::vector<int>& keys,
-                             WorkerPool* pool) {
+                             int threads = 1) {
+  WorkerPool pool(threads);
   Memo::Sweep sweep = memo.sweep();
   std::vector<Memo::Ticket> tickets;
   for (const int key : keys) tickets.push_back(sweep.probe(key, key));
@@ -61,7 +63,7 @@ TEST(MemoBatch, ChargesLikeASerialSweep) {
         ++hits;
       }
     }
-    const std::vector<long long> values = price(counted.memo, keys, nullptr);
+    const std::vector<long long> values = price(counted.memo, keys);
     for (std::size_t i = 0; i < keys.size(); ++i) {
       EXPECT_EQ(values[i], square_plus_one(keys[i]));
     }
@@ -72,10 +74,10 @@ TEST(MemoBatch, ChargesLikeASerialSweep) {
 
 TEST(MemoBatch, DuplicatesWithinABatchAreHitsAfterTheFirst) {
   Counted counted;
-  (void)price(counted.memo, {1, 2, 1, 3, 2}, nullptr);
+  (void)price(counted.memo, {1, 2, 1, 3, 2});
   EXPECT_EQ(counted.misses.value(), 3);
   EXPECT_EQ(counted.hits.value(), 2);
-  (void)price(counted.memo, {2, 4, 4, 1}, nullptr);
+  (void)price(counted.memo, {2, 4, 4, 1});
   EXPECT_EQ(counted.misses.value(), 4);
   EXPECT_EQ(counted.hits.value(), 5);
 }
@@ -89,7 +91,7 @@ TEST(MemoBatch, PricesEachDistinctKeyOnce) {
        {std::vector<int>{3, 3, 3, 5, 3, 5}, std::vector<int>{5, 0, 0, 7, 3}}) {
     Memo::Sweep sweep = memo.sweep();
     for (const int key : keys) (void)sweep.probe(key, key);
-    sweep.resolve(&pool, [&](int input) {
+    sweep.resolve(pool, [&](int input) {
       ++calls.at(input);
       return square_plus_one(input);
     });
@@ -101,6 +103,7 @@ TEST(MemoBatch, PricesEachDistinctKeyOnce) {
 }
 
 TEST(MemoBatch, PublishesInFirstSeenOrder) {
+  WorkerPool caller(1);
   Memo memo;
   (void)memo.get(9, 9, square_plus_one);  // memoised before the batch
   Memo::Sweep sweep = memo.sweep();
@@ -110,13 +113,14 @@ TEST(MemoBatch, PublishesInFirstSeenOrder) {
   EXPECT_NE(tickets[2].cached, nullptr);
   EXPECT_EQ(tickets[0].slot, tickets[3].slot);
   const std::vector<const long long*>& published =
-      sweep.resolve(nullptr, square_plus_one);
+      sweep.resolve(caller, square_plus_one);
   std::vector<long long> order;
   for (const long long* value : published) order.push_back(*value);
   EXPECT_EQ(order, (std::vector<long long>{26, 10, 65}));
 }
 
 TEST(MemoBatch, ProbeWithBuildsAnInputOnlyForANewKey) {
+  WorkerPool caller(1);
   Memo memo;
   (void)memo.get(9, 9, square_plus_one);  // memoised before the batch
   Memo::Sweep sweep = memo.sweep();
@@ -129,28 +133,27 @@ TEST(MemoBatch, ProbeWithBuildsAnInputOnlyForANewKey) {
   }
   EXPECT_EQ(made, (std::vector<int>{5, 3, 8}));
   std::vector<long long> published;
-  for (const long long* value : sweep.resolve(nullptr, square_plus_one)) {
+  for (const long long* value : sweep.resolve(caller, square_plus_one)) {
     published.push_back(*value);
   }
   EXPECT_EQ(published, (std::vector<long long>{26, 10, 65}));
 }
 
 TEST(MemoBatch, PoolDoesNotChangeValuesOrCounters) {
-  WorkerPool pool(4);
   Counted serial;
   Counted pooled;
   Rng rng(11);
   for (int batch = 0; batch < 10; ++batch) {
     std::vector<int> keys;
     for (int i = 0; i < 40; ++i) keys.push_back(rng.uniform_int(0, 99));
-    EXPECT_EQ(price(serial.memo, keys, nullptr),
-              price(pooled.memo, keys, &pool));
+    EXPECT_EQ(price(serial.memo, keys), price(pooled.memo, keys, 4));
     EXPECT_EQ(serial.hits.value(), pooled.hits.value());
     EXPECT_EQ(serial.misses.value(), pooled.misses.value());
   }
 }
 
 TEST(MemoBatch, AnAbandonedSweepPublishesNothing) {
+  WorkerPool caller(1);
   Counted counted;
   {
     Memo::Sweep sweep = counted.memo.sweep();
@@ -160,14 +163,14 @@ TEST(MemoBatch, AnAbandonedSweepPublishesNothing) {
       {
         Memo::Sweep sweep = counted.memo.sweep();
         (void)sweep.probe(2, 2);
-        sweep.resolve(nullptr, [](int) -> long long {
+        sweep.resolve(caller, [](int) -> long long {
           throw std::runtime_error("pricing failed");
         });
       },
       std::runtime_error);
   EXPECT_EQ(counted.misses.value(), 2);
   // Neither key was published, so both are misses again.
-  EXPECT_EQ(price(counted.memo, {1, 2}, nullptr),
+  EXPECT_EQ(price(counted.memo, {1, 2}),
             (std::vector<long long>{2, 5}));
   EXPECT_EQ(counted.misses.value(), 4);
   EXPECT_EQ(counted.hits.value(), 0);

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "mars/obs/trace.h"
 #include "mars/util/error.h"
 
 namespace mars::util {
@@ -100,6 +101,31 @@ TEST(WorkerPoolTest, EmptyJobIsANoOp) {
   bool called = false;
   pool.parallel_for(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST(WorkerPoolTest, OneThreadAndOneItemRoundsRunOnTheCaller) {
+  // A one-thread pool is the serial case: every index runs on the caller.
+  WorkerPool one(1);
+  std::vector<std::thread::id> ran_on(16);
+  one.parallel_for(ran_on.size(),
+                   [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+
+  // Such rounds, and one-item rounds on any pool, wake no worker and so
+  // record no `round` span; a round shared with the workers records one.
+  obs::TraceRecorder recorder;
+  obs::install_trace(&recorder);
+  WorkerPool four(4);
+  one.parallel_for(8, [](std::size_t) {});
+  four.parallel_for(1, [](std::size_t) {});
+  const std::size_t caller_only = recorder.event_count();
+  four.parallel_for(2, [](std::size_t) {});
+  const std::size_t shared = recorder.event_count();
+  obs::install_trace(nullptr);
+  EXPECT_EQ(caller_only, 0u);
+  EXPECT_GE(shared, 1u);
 }
 
 TEST(WorkerPoolTest, ClaimingStopsAfterAFailure) {
