@@ -23,7 +23,8 @@ thread_local ThreadSlot t_slot;
 
 TraceRecorder::TraceRecorder()
     : id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
-      epoch_(std::chrono::steady_clock::now()) {}
+      epoch_(std::chrono::steady_clock::now()),
+      home_(std::this_thread::get_id()) {}
 
 TraceRecorder::Buffer& TraceRecorder::local_buffer() {
   if (t_slot.recorder_id == id_) {
@@ -32,6 +33,9 @@ TraceRecorder::Buffer& TraceRecorder::local_buffer() {
   const std::lock_guard<std::mutex> lock(mutex_);
   buffers_.push_back(std::make_unique<Buffer>());
   Buffer& buffer = *buffers_.back();
+  if (std::this_thread::get_id() != home_) {
+    buffer.lane_suffix = " (thread " + std::to_string(++other_threads_) + ")";
+  }
   t_slot = ThreadSlot{id_, &buffer};
   return buffer;
 }
@@ -48,6 +52,10 @@ int TraceRecorder::track(Clock clock, const std::string& name) {
       name, static_cast<int>(track_names_[domain].size()));
   if (inserted) track_names_[domain].push_back(name);
   return it->second;
+}
+
+int TraceRecorder::thread_track(Clock clock, const std::string& name) {
+  return track(clock, name + local_buffer().lane_suffix);
 }
 
 void TraceRecorder::complete(Clock clock, int track, std::string name,
@@ -236,7 +244,7 @@ TraceRecorder* trace() noexcept {
 ScopedWallSpan::ScopedWallSpan(const char* track, const char* name)
     : recorder_(trace()), name_(name) {
   if (recorder_ == nullptr) return;
-  track_ = recorder_->track(Clock::kWall, track);
+  track_ = recorder_->thread_track(Clock::kWall, track);
   start_ = recorder_->wall_now();
 }
 

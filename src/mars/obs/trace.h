@@ -6,7 +6,9 @@
 // (deterministic `Seconds` from the serving event loop and the simulator),
 // pid 2 is *wall clock* (steady_clock since recorder construction; search
 // engines and the worker pool). Tracks within a domain are named lanes
-// ("acc 3", "pool worker 1"), created on demand with `track()`.
+// ("acc 3", "plan"), created on demand with `track()`. Wall spans go on
+// `thread_track()` lanes, one per (lane, thread), so spans that different
+// threads run at once never share a track.
 //
 // Determinism contract: every event carries a global sequence number, and
 // export sorts stably by (clock, timestamp, sequence). Simulated-domain
@@ -32,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -60,6 +63,12 @@ class TraceRecorder {
   /// Track (Chrome-trace tid) for a named lane in a domain; idempotent —
   /// the same name always maps to the same tid within a clock.
   [[nodiscard]] int track(Clock clock, const std::string& name);
+
+  /// The calling thread's track for lane `name`: `name` itself on the
+  /// thread that built the recorder, "<name> (thread k)" on the k-th other
+  /// thread to use the recorder. A thread's spans nest, so every span
+  /// emitted on its own track draws as one lane.
+  [[nodiscard]] int thread_track(Clock clock, const std::string& name);
 
   /// Complete span (ph "X"): `name` ran [start, start + duration) on
   /// `track`. Emitted when the span ends; export re-sorts by timestamp.
@@ -109,6 +118,7 @@ class TraceRecorder {
   };
   struct Buffer {
     std::vector<Event> events;
+    std::string lane_suffix;  // thread_track's suffix for this thread
   };
 
   Buffer& local_buffer();
@@ -121,10 +131,12 @@ class TraceRecorder {
 
   const std::uint64_t id_;  // unique per recorder; keys thread-local caches
   const std::chrono::steady_clock::time_point epoch_;
+  const std::thread::id home_;  // the thread whose lanes get no suffix
   std::atomic<std::uint64_t> next_seq_{0};
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Buffer>> buffers_;
+  int other_threads_ = 0;  // threads other than home_ registered so far
   std::map<std::string, int> tracks_[2];        // per clock: name -> tid
   std::vector<std::string> track_names_[2];     // per clock: tid -> name
 };
@@ -139,7 +151,8 @@ TraceRecorder* install_trace(TraceRecorder* recorder) noexcept;
 /// load and performs no allocation.
 [[nodiscard]] TraceRecorder* trace() noexcept;
 
-/// RAII wall-clock span on a named track: emits one complete event covering
+/// RAII wall-clock span on the calling thread's track of a named lane
+/// (TraceRecorder::thread_track): emits one complete event covering
 /// construction to destruction. Zero-cost (no allocation, no lock) when no
 /// recorder is installed. The track/name pointers must outlive the span.
 class ScopedWallSpan {

@@ -52,7 +52,8 @@ bool BudgetMeter::exhausted(long long evaluations) {
     // The poll that tripped a limit is the event worth seeing on the
     // timeline (per-poll instants would swamp a long search).
     if (obs::TraceRecorder* rec = obs::trace()) {
-      rec->instant(obs::Clock::kWall, rec->track(obs::Clock::kWall, "plan"),
+      rec->instant(obs::Clock::kWall,
+                   rec->thread_track(obs::Clock::kWall, "plan"),
                    "budget " + to_string(reason_), rec->wall_now(),
                    {{"evaluations", JsonValue::integer(evaluations)}});
     }

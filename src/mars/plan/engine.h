@@ -12,9 +12,17 @@
 // canonical (engine name + every result-affecting knob, seed included)
 // string the serving MappingCache hashes, so mappings searched by one
 // engine or configuration are never served to another.
+//
+// Threading: an engine's thread count is execution-only. It sets how many
+// threads one search() runs on, never what it returns, so it stays out of
+// spec_string(). A caller that runs several searches at once (a serving
+// fleet planning its models, serve::plan_services) reads threads() and
+// splits it with with_threads(), keeping its total within the count it
+// was given.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,6 +85,15 @@ class SearchEngine {
   /// False for closed-form mappers (baseline): no search runs, so there
   /// is nothing worth caching and budgets are trivially met.
   [[nodiscard]] virtual bool searches() const { return true; }
+
+  /// The threads one search() may run on (execution-only; see above).
+  [[nodiscard]] virtual int threads() const = 0;
+
+  /// This engine with its searches on `threads` threads: the same
+  /// spec_string(), so the same results. Throws InvalidArgument when
+  /// `threads` < 1.
+  [[nodiscard]] virtual std::unique_ptr<SearchEngine> with_threads(
+      int threads) const = 0;
 
   /// Runs the search on `problem` under `budget`. Always returns a valid
   /// mapping: engines evaluate their seed point before polling the budget,

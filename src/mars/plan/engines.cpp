@@ -108,6 +108,12 @@ std::string GaEngine::spec_string() const {
   return os.str();
 }
 
+std::unique_ptr<SearchEngine> GaEngine::with_threads(int threads) const {
+  core::MarsConfig config = config_;
+  config.threads = threads;
+  return std::make_unique<GaEngine>(config);
+}
+
 PlanResult GaEngine::search(const core::Problem& problem, const Budget& budget,
                             const ProgressFn& progress) const {
   BudgetMeter meter(budget);
@@ -254,6 +260,13 @@ std::string AnnealingEngine::spec_string() const {
   append_second(os, config_.second);
   os << ",seed=" << config_.seed << ']';
   return os.str();
+}
+
+std::unique_ptr<SearchEngine> AnnealingEngine::with_threads(
+    int threads) const {
+  AnnealConfig config = config_;
+  config.threads = threads;
+  return std::make_unique<AnnealingEngine>(config);
 }
 
 PlanResult AnnealingEngine::search(const core::Problem& problem,
@@ -421,6 +434,12 @@ std::string RandomEngine::spec_string() const {
   return os.str();
 }
 
+std::unique_ptr<SearchEngine> RandomEngine::with_threads(int threads) const {
+  RandomConfig config = config_;
+  config.threads = threads;
+  return std::make_unique<RandomEngine>(config);
+}
+
 PlanResult RandomEngine::search(const core::Problem& problem,
                                 const Budget& budget,
                                 const ProgressFn& progress) const {
@@ -494,6 +513,11 @@ PlanResult RandomEngine::search(const core::Problem& problem,
 
 // ----------------------------------------------------------- BaselineEngine
 
+std::unique_ptr<SearchEngine> BaselineEngine::with_threads(int threads) const {
+  MARS_CHECK_ARG(threads >= 1, "threads must be >= 1, got " << threads);
+  return std::make_unique<BaselineEngine>();
+}
+
 PlanResult BaselineEngine::search(const core::Problem& problem,
                                   const Budget& budget,
                                   const ProgressFn& progress) const {
@@ -538,6 +562,23 @@ std::string PortfolioEngine::spec_string() const {
   }
   os << ']';
   return os.str();
+}
+
+int PortfolioEngine::threads() const {
+  int most = 1;
+  for (const std::unique_ptr<SearchEngine>& member : members_) {
+    most = std::max(most, member->threads());
+  }
+  return most;
+}
+
+std::unique_ptr<SearchEngine> PortfolioEngine::with_threads(int threads) const {
+  std::vector<std::unique_ptr<SearchEngine>> members;
+  members.reserve(members_.size());
+  for (const std::unique_ptr<SearchEngine>& member : members_) {
+    members.push_back(member->with_threads(threads));
+  }
+  return std::make_unique<PortfolioEngine>(std::move(members), member_wall_);
 }
 
 PlanResult PortfolioEngine::search(const core::Problem& problem,
@@ -596,9 +637,10 @@ PlanResult PortfolioEngine::search(const core::Problem& problem,
         rec != nullptr ? rec->wall_now() : Seconds(0.0);
     PlanResult raced = members_[i]->search(problem, slice, member_progress);
     if (rec != nullptr) {
-      // One wall span per raced member on the shared "plan" track, so a
-      // portfolio run renders as back-to-back member slices.
-      rec->complete(obs::Clock::kWall, rec->track(obs::Clock::kWall, "plan"),
+      // One wall span per raced member on the thread's "plan" track, so
+      // a portfolio run renders as back-to-back member slices.
+      rec->complete(obs::Clock::kWall,
+                    rec->thread_track(obs::Clock::kWall, "plan"),
                     "member " + raced.provenance.engine, member_start,
                     rec->wall_now() - member_start,
                     {{"evaluations",

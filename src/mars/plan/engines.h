@@ -22,6 +22,8 @@
 // Threading: every `threads` knob below fans fitness evaluation across a
 // util::WorkerPool. Results are byte-identical at any thread count, so
 // `threads` never appears in a spec_string (docs/PERFORMANCE.md).
+// threads() reads the knob and with_threads() copies the engine with a
+// new one; a portfolio passes the count on to every member.
 #pragma once
 
 #include <memory>
@@ -56,6 +58,9 @@ class GaEngine final : public SearchEngine {
 
   [[nodiscard]] std::string name() const override { return "ga"; }
   [[nodiscard]] std::string spec_string() const override;
+  [[nodiscard]] int threads() const override { return config_.threads; }
+  [[nodiscard]] std::unique_ptr<SearchEngine> with_threads(
+      int threads) const override;
   [[nodiscard]] PlanResult search(const core::Problem& problem,
                                   const Budget& budget = {},
                                   const ProgressFn& progress = {}) const override;
@@ -103,6 +108,9 @@ class AnnealingEngine final : public SearchEngine {
 
   [[nodiscard]] std::string name() const override { return "anneal"; }
   [[nodiscard]] std::string spec_string() const override;
+  [[nodiscard]] int threads() const override { return config_.threads; }
+  [[nodiscard]] std::unique_ptr<SearchEngine> with_threads(
+      int threads) const override;
   [[nodiscard]] PlanResult search(const core::Problem& problem,
                                   const Budget& budget = {},
                                   const ProgressFn& progress = {}) const override;
@@ -139,6 +147,9 @@ class RandomEngine final : public SearchEngine {
 
   [[nodiscard]] std::string name() const override { return "random"; }
   [[nodiscard]] std::string spec_string() const override;
+  [[nodiscard]] int threads() const override { return config_.threads; }
+  [[nodiscard]] std::unique_ptr<SearchEngine> with_threads(
+      int threads) const override;
   [[nodiscard]] PlanResult search(const core::Problem& problem,
                                   const Budget& budget = {},
                                   const ProgressFn& progress = {}) const override;
@@ -155,6 +166,9 @@ class BaselineEngine final : public SearchEngine {
   [[nodiscard]] std::string name() const override { return "baseline"; }
   [[nodiscard]] std::string spec_string() const override { return "baseline"; }
   [[nodiscard]] bool searches() const override { return false; }
+  [[nodiscard]] int threads() const override { return 1; }
+  [[nodiscard]] std::unique_ptr<SearchEngine> with_threads(
+      int threads) const override;
   [[nodiscard]] PlanResult search(const core::Problem& problem,
                                   const Budget& budget = {},
                                   const ProgressFn& progress = {}) const override;
@@ -186,6 +200,11 @@ class PortfolioEngine final : public SearchEngine {
 
   [[nodiscard]] std::string name() const override { return "portfolio"; }
   [[nodiscard]] std::string spec_string() const override;
+  /// The most threads any member searches on (members race one at a time).
+  [[nodiscard]] int threads() const override;
+  /// Every member on `threads` threads.
+  [[nodiscard]] std::unique_ptr<SearchEngine> with_threads(
+      int threads) const override;
   [[nodiscard]] PlanResult search(const core::Problem& problem,
                                   const Budget& budget = {},
                                   const ProgressFn& progress = {}) const override;

@@ -208,7 +208,7 @@ std::vector<ServeResult> FleetScheduler::run_shards(ShardFn&& fn) const {
     // so the trace stream is deterministic. Wall spans record how long
     // each shard's engine really ran.
     const int wall_track =
-        rec != nullptr ? rec->track(obs::Clock::kWall, "serve") : 0;
+        rec != nullptr ? rec->thread_track(obs::Clock::kWall, "serve") : 0;
     for (std::size_t s = 0; s < n; ++s) {
       const Seconds start = rec != nullptr ? rec->wall_now() : Seconds(0.0);
       results[s] = fn(static_cast<int>(s));

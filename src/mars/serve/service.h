@@ -22,6 +22,10 @@
 
 namespace mars::serve {
 
+namespace detail {
+struct ModelStart;
+}
+
 class ModelService {
  public:
   /// Where this service's mapping came from (startup-cost provenance).
@@ -72,6 +76,15 @@ class ModelService {
   }
 
  private:
+  /// Takes over a fully planned and compiled start-up state.
+  explicit ModelService(detail::ModelStart&& start);
+  friend std::vector<std::unique_ptr<ModelService>> plan_services(
+      const std::vector<std::string>& model_names,
+      const topology::Topology& topo, const accel::DesignRegistry& designs,
+      bool adaptive, const plan::SearchEngine& engine,
+      const MappingCache* cache, const plan::Budget& budget,
+      const std::vector<topology::AccMask>& placements);
+
   std::string name_;
   plan::Planner planner_;
   core::Mapping mapping_;
@@ -96,6 +109,23 @@ class ModelService {
 /// services must outlive any scheduler built over them; `engine` and
 /// `cache` (optional) only have to outlive this call. `placements`, when
 /// non-empty, gives one placement mask per model (0 entries = full fleet).
+///
+/// Threading: the models plan side by side on a pool of
+/// min(engine.threads(), models) threads, and each model's search runs on
+/// engine.threads() / that many threads (engine.with_threads), so planning
+/// never runs more threads than the engine was given. A one-model fleet
+/// searches on all of them. Planner construction, the search and the
+/// compile step (flat prototype, single latency) run in the pool; results
+/// are identical to planning the models one by one at any thread count.
+///
+/// Cache order: every cache load and store runs on the calling thread, in
+/// model order — loads before a wave of searches, stores after it. A model
+/// whose cache key repeats an earlier model's waits for the next wave, so
+/// it loads what that model stored (a hit, as in a serial loop).
+///
+/// Errors: a failing model stops there and the lowest-index failure is
+/// rethrown once every lower model is done (stored included) — the error
+/// a serial loop would hit first.
 [[nodiscard]] std::vector<std::unique_ptr<ModelService>> plan_services(
     const std::vector<std::string>& model_names,
     const topology::Topology& topo, const accel::DesignRegistry& designs,

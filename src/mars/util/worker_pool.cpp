@@ -30,10 +30,10 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::run_claims(int worker) {
-  // One wall-clock span per worker per round on the worker's track when a
-  // recorder is installed (worker 0 is the calling thread), and only when
-  // the worker ran an item. No allocation or locking on the no-recorder
-  // path.
+  // One wall-clock span per worker per round on the `pool` lane of the
+  // worker's thread when a recorder is installed (worker 0 is the calling
+  // thread), and only when the worker ran an item. No allocation or
+  // locking on the no-recorder path.
   obs::TraceRecorder* rec = obs::trace();
   const Seconds start = rec != nullptr ? rec->wall_now() : Seconds{};
   long long items = 0;
@@ -53,11 +53,11 @@ void WorkerPool::run_claims(int worker) {
     }
   }
   if (rec != nullptr && items > 0) {
-    const int track =
-        rec->track(obs::Clock::kWall, "pool worker " + std::to_string(worker));
-    rec->complete(obs::Clock::kWall, track, "round", start,
+    rec->complete(obs::Clock::kWall,
+                  rec->thread_track(obs::Clock::kWall, "pool"), "round", start,
                   rec->wall_now() - start,
-                  {{"items", JsonValue::integer(items)}});
+                  {{"worker", JsonValue::integer(worker)},
+                   {"items", JsonValue::integer(items)}});
   }
 }
 

@@ -199,6 +199,49 @@ TEST(TraceRecorderTest, ScopedWallSpanEmitsOneCompleteEvent) {
   EXPECT_GE(events[0].get("dur").as_number(), 0.0);
 }
 
+TEST(TraceRecorderTest, WallSpansOfEachThreadGetTheirOwnTrack) {
+  TraceRecorder rec;
+  TraceRecorder* saved = install_trace(&rec);
+  // The recorder's own thread keeps the plain lane name; two other
+  // threads, whose spans overlap, each get a lane of their own.
+  { const ScopedWallSpan span("plan", "home"); }
+  std::atomic<int> started{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&started] {
+      const ScopedWallSpan span("plan", "worker");
+      started.fetch_add(1);
+      while (started.load() < 2) std::this_thread::yield();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  install_trace(saved);
+  const JsonValue doc = rec.to_json();
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < doc.get("traceEvents").size(); ++i) {
+    const JsonValue& event = doc.get("traceEvents").at(i);
+    if (event.get("name").as_string() == "thread_name") {
+      names.push_back(event.get("args").get("name").as_string());
+    }
+  }
+  ASSERT_EQ(names.size(), 3u);
+  EXPECT_EQ(names[0], "plan");
+  EXPECT_NE(names[1], names[2]);
+  for (const std::string& name : {names[1], names[2]}) {
+    EXPECT_TRUE(name == "plan (thread 1)" || name == "plan (thread 2)")
+        << name;
+  }
+  std::vector<long long> tids;
+  for (const JsonValue& event : data_events(doc)) {
+    tids.push_back(event.get("tid").as_integer());
+  }
+  ASSERT_EQ(tids.size(), 3u);
+  EXPECT_NE(tids[1], tids[2]);
+  // The same thread asking again gets the same track.
+  EXPECT_EQ(rec.thread_track(Clock::kWall, "plan"),
+            rec.track(Clock::kWall, "plan"));
+}
+
 TEST(TraceRecorderTest, WallNowIsMonotone) {
   TraceRecorder rec;
   const Seconds first = rec.wall_now();

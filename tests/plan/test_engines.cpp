@@ -245,5 +245,52 @@ TEST_F(EnginesTest, EngineConfigsAreValidatedAtConstruction) {
   EXPECT_THROW((void)RandomEngine(bad_random), InvalidArgument);
 }
 
+TEST(EngineThreadsTest, WithThreadsKeepsTheSpecOfEveryEngineKind) {
+  core::MarsConfig tuning = tiny_tuning();
+  tuning.threads = 4;
+  std::vector<std::string> names = engine_names();
+  names.push_back("race:ga@3+random,250");
+  for (const std::string& name : names) {
+    const std::unique_ptr<SearchEngine> engine = make_engine(name, tuning);
+    const int threads = name == "baseline" ? 1 : 4;
+    EXPECT_EQ(engine->threads(), threads) << name;
+    for (const int reduced : {1, 2}) {
+      const std::unique_ptr<SearchEngine> copy = engine->with_threads(reduced);
+      EXPECT_EQ(copy->spec_string(), engine->spec_string()) << name;
+      EXPECT_EQ(copy->name(), engine->name()) << name;
+      EXPECT_EQ(copy->threads(), name == "baseline" ? 1 : reduced) << name;
+    }
+    EXPECT_THROW((void)engine->with_threads(0), InvalidArgument) << name;
+  }
+}
+
+TEST(EngineThreadsTest, PortfolioPassesTheCountToEveryMember) {
+  core::MarsConfig tuning = tiny_tuning();
+  tuning.threads = 3;
+  const std::unique_ptr<SearchEngine> copy =
+      make_engine("portfolio", tuning)->with_threads(2);
+  const auto& members = dynamic_cast<const PortfolioEngine&>(*copy).members();
+  ASSERT_EQ(members.size(), 3u);
+  for (const std::unique_ptr<SearchEngine>& member : members) {
+    EXPECT_EQ(member->threads(), 2) << member->name();
+  }
+}
+
+TEST_F(EnginesTest, ReducedThreadEnginesReturnTheSameMapping) {
+  core::MarsConfig tuning = tiny_tuning();
+  tuning.threads = 3;
+  for (const std::string& name : {"ga", "anneal", "random"}) {
+    const std::unique_ptr<SearchEngine> engine = make_engine(name, tuning);
+    const PlanResult full = engine->search(fx_.problem);
+    const PlanResult reduced = engine->with_threads(1)->search(fx_.problem);
+    EXPECT_EQ(reduced.summary.analytic_makespan.count(),
+              full.summary.analytic_makespan.count())
+        << name;
+    EXPECT_EQ(reduced.history, full.history) << name;
+    EXPECT_EQ(reduced.provenance.evaluations, full.provenance.evaluations)
+        << name;
+  }
+}
+
 }  // namespace
 }  // namespace mars::plan

@@ -8,6 +8,10 @@ Checks the JSON-object envelope ({"traceEvents": [...]}) and, per event:
   "C" an args.value; "M" an args.name;
 * duration ("B"/"E") events nest properly per (pid, tid): every "E" closes
   a matching open "B", none left open at the end;
+* complete ("X") events nest properly per (pid, tid): two spans on one
+  track are either disjoint or one contains the other, which is what a
+  viewer can draw as one lane (spans of different threads belong on
+  different tracks);
 * nestable async ("b"/"e") events balance per (pid, cat, id), begins
   before ends;
 * timestamps are non-decreasing per (pid, tid) in array order — the
@@ -32,6 +36,26 @@ import sys
 
 KNOWN_PHASES = {"X", "B", "E", "i", "I", "C", "b", "e", "n", "M"}
 
+# Slack for span ends that the export rounds to 12 significant digits
+# (microseconds): far below any real overlap.
+NEST_SLACK_US = 1e-3
+
+
+def overlapping_spans(spans):
+    """Yields (index, enclosing index) for each span of one track that
+    starts inside an earlier span and ends after it. `spans` holds
+    (start, duration, event index) triples; at equal starts the longer
+    span encloses the shorter one."""
+    open_spans = []  # (end, index) of the enclosing spans, innermost last
+    for start, dur, index in sorted(spans, key=lambda s: (s[0], -s[1], s[2])):
+        while open_spans and open_spans[-1][0] <= start + NEST_SLACK_US:
+            open_spans.pop()
+        end = start + dur
+        if open_spans and end > open_spans[-1][0] + NEST_SLACK_US:
+            yield index, open_spans[-1][1]
+            continue
+        open_spans.append((end, index))
+
 
 def validate(doc):
     failures = []
@@ -48,6 +72,7 @@ def validate(doc):
     open_durations = {}  # (pid, tid) -> [names of open "B" events]
     open_async = {}  # (pid, cat, id) -> open "b" count
     last_ts = {}  # (pid, tid) -> last seen timestamp
+    complete_spans = {}  # (pid, tid) -> [(ts, dur, event index)] of "X"
 
     for index, event in enumerate(events):
         if not isinstance(event, dict):
@@ -89,6 +114,8 @@ def validate(doc):
                 fail(index, 'complete event is missing a numeric "dur"')
             elif dur < 0:
                 fail(index, f"complete event has negative dur {dur}")
+            else:
+                complete_spans.setdefault(track, []).append((ts, dur, index))
         elif phase == "B":
             open_durations.setdefault(track, []).append(event.get("name"))
         elif phase == "E":
@@ -116,6 +143,13 @@ def validate(doc):
                 else:
                     open_async[key] -= 1
 
+    for (pid, tid), spans in complete_spans.items():
+        for index, enclosing in overlapping_spans(spans):
+            fail(
+                index,
+                f'"X" overlaps event {enclosing} on pid={pid} tid={tid} '
+                "without nesting inside it",
+            )
     for (pid, tid), stack in open_durations.items():
         for name in stack:
             failures.append(
