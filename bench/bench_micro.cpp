@@ -2,9 +2,11 @@
 // search throughput — analytical design models, shard-plan construction,
 // the layer cost function, greedy second-level selection, skeleton
 // fitness (the first-level oracle every plan engine calls), batch genome
-// pricing, and the event-driven executor.
+// pricing, the event-driven executor, and a serving replay through the
+// same event engine.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -15,7 +17,10 @@
 #include "mars/ga/operators.h"
 #include "mars/graph/models/models.h"
 #include "mars/parallel/sharding.h"
+#include "mars/plan/engines.h"
 #include "mars/plan/planner.h"
+#include "mars/serve/scheduler.h"
+#include "mars/serve/workload.h"
 #include "mars/topology/presets.h"
 #include "mars/util/worker_pool.h"
 
@@ -132,6 +137,46 @@ void BM_EventSimVgg(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventSimVgg);
+
+/// A serve-overload-shaped fleet: facebagnet and resnet50 planned with a
+/// quick GA on f1.16xlarge, and the first 100 arrivals of a 200 rps
+/// Poisson stream, about 1.7x the fleet's capacity.
+struct ServeFixture {
+  topology::Topology topo = topology::f1_16xlarge();
+  accel::DesignRegistry designs = accel::table2_designs();
+  std::vector<std::unique_ptr<serve::ModelService>> services;
+  std::vector<serve::Request> arrivals;
+
+  ServeFixture() {
+    core::MarsConfig config;
+    config.first_ga.population = 12;
+    config.first_ga.generations = 8;
+    config.second.ga.population = 8;
+    config.second.ga.generations = 6;
+    services = serve::plan_services({"facebagnet", "resnet50"}, topo, designs,
+                                    /*adaptive=*/true, plan::GaEngine(config));
+    arrivals = serve::poisson_arrivals({1.0, 1.0}, 200.0, Seconds(2.0), 1);
+    arrivals.resize(100);
+  }
+};
+
+void BM_ServeReplay(benchmark::State& state) {
+  // The online scheduler replays the stream on the event engine while a
+  // backlog builds. Items are executed tasks, so items/s is the engine's
+  // per-task rate under contention.
+  static const ServeFixture fx;
+  std::vector<const serve::ModelService*> refs;
+  for (const auto& service : fx.services) refs.push_back(service.get());
+  const serve::OnlineScheduler scheduler(fx.topo, refs);
+  long long tasks = 0;
+  for (auto _ : state) {
+    const serve::ServeResult result = scheduler.run(fx.arrivals);
+    tasks += result.tasks_executed;
+    benchmark::DoNotOptimize(result.horizon);
+  }
+  state.SetItemsProcessed(tasks);
+}
+BENCHMARK(BM_ServeReplay);
 
 void BM_SpineExtraction(benchmark::State& state) {
   const graph::Graph model = graph::models::resnet101();

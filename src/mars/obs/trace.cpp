@@ -54,8 +54,12 @@ int TraceRecorder::track(Clock clock, const std::string& name) {
   return it->second;
 }
 
+const std::string& TraceRecorder::lane_suffix() {
+  return local_buffer().lane_suffix;
+}
+
 int TraceRecorder::thread_track(Clock clock, const std::string& name) {
-  return track(clock, name + local_buffer().lane_suffix);
+  return track(clock, name + lane_suffix());
 }
 
 void TraceRecorder::complete(Clock clock, int track, std::string name,

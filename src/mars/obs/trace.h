@@ -64,10 +64,13 @@ class TraceRecorder {
   /// the same name always maps to the same tid within a clock.
   [[nodiscard]] int track(Clock clock, const std::string& name);
 
-  /// The calling thread's track for lane `name`: `name` itself on the
-  /// thread that built the recorder, "<name> (thread k)" on the k-th other
-  /// thread to use the recorder. A thread's spans nest, so every span
-  /// emitted on its own track draws as one lane.
+  /// The calling thread's lane suffix: empty on the thread that built the
+  /// recorder, " (thread k)" on the k-th other thread to use the recorder.
+  [[nodiscard]] const std::string& lane_suffix();
+
+  /// The calling thread's track for lane `name`: `name` plus its
+  /// lane_suffix(). A thread's spans nest, so every span emitted on its
+  /// own track draws as one lane.
   [[nodiscard]] int thread_track(Clock clock, const std::string& name);
 
   /// Complete span (ph "X"): `name` ran [start, start + duration) on

@@ -25,17 +25,20 @@ namespace {
 constexpr int kProgressStride = 32;
 
 /// Wall-domain search progress: evaluation-count and best-fitness counter
-/// lanes named after the engine. No-op without an installed recorder;
-/// search results never depend on whether tracing is on.
+/// lanes named after the engine, one pair per thread (the recorder's lane
+/// suffix), so searches running at once on different threads never share
+/// a lane. No-op without an installed recorder; search results never
+/// depend on whether tracing is on.
 void trace_progress(const char* engine, long long evaluations, double best) {
   obs::TraceRecorder* rec = obs::trace();
   if (rec == nullptr) return;
   const Seconds now = rec->wall_now();
-  rec->counter(obs::Clock::kWall, std::string(engine) + " evaluations", now,
-               static_cast<double>(evaluations));
+  const std::string& lane = rec->lane_suffix();
+  rec->counter(obs::Clock::kWall, std::string(engine) + " evaluations" + lane,
+               now, static_cast<double>(evaluations));
   if (std::isfinite(best)) {
-    rec->counter(obs::Clock::kWall, std::string(engine) + " best_fitness", now,
-                 best);
+    rec->counter(obs::Clock::kWall,
+                 std::string(engine) + " best_fitness" + lane, now, best);
   }
 }
 
@@ -388,12 +391,15 @@ PlanResult AnnealingEngine::search(const core::Problem& problem,
     if (step % kProgressStride == 0) {
       trace_progress("anneal", evaluations, best_fitness);
       if (obs::TraceRecorder* rec = obs::trace()) {
-        // Per-chain current-fitness lanes: shows which chains are stuck
-        // at which temperature.
+        // Per-chain current-fitness lanes, per thread like
+        // trace_progress's: shows which chains are stuck at which
+        // temperature.
         const Seconds now = rec->wall_now();
+        const std::string& lane = rec->lane_suffix();
         for (std::size_t c = 0; c < current_fitness.size(); ++c) {
-          rec->counter(obs::Clock::kWall, "anneal chain " + std::to_string(c),
-                       now, current_fitness[c]);
+          rec->counter(obs::Clock::kWall,
+                       "anneal chain " + std::to_string(c) + lane, now,
+                       current_fitness[c]);
         }
       }
       if (progress) progress({evaluations, best_fitness, meter.elapsed()});

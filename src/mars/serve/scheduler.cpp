@@ -117,22 +117,24 @@ class Session : public sim::NoHooks {
   }
 
   /// Pre-sizes the run for a stream of `arrivals` requests: the event
-  /// queue (every open-loop arrival is enqueued up front) and the result
-  /// vectors. One fixed allocation each, so steady-state dispatch stays
-  /// heap-silent. A parked task holds no event, so besides the arrivals
-  /// the queue holds only ready tasks' try events, one completion per
-  /// running task and one wake per busy resource with waiters — all
-  /// bounded by the tasks of the live instances. The slack covers every
-  /// task of up to 16 live instances per model, which is a bound under
-  /// bounded admission (shed:N, N <= 16); deeper configurations regrow
-  /// the queue amortised. The wait queues' record pools are not pre-sized:
+  /// queue (every open-loop arrival is enqueued up front), the engine's
+  /// External slot table and the result vectors. One fixed allocation
+  /// each, so steady-state dispatch stays heap-silent. A parked task holds
+  /// no event, so besides the arrivals the queue holds only ready tasks'
+  /// try events, one completion per running task and one wake per busy
+  /// resource with waiters — all bounded by the tasks of the live
+  /// instances. The slack covers every task of up to 16 live instances per
+  /// model, which is a bound under bounded admission (shed:N, N <= 16);
+  /// deeper configurations regrow the queue amortised. The externals are
+  /// the arrivals (or closed-loop reissues) plus about one armed batch
+  /// deadline per model. The wait queues' record pools are not pre-sized:
   /// they grow to the peak number of parked tasks and are reused after.
   void reserve(std::size_t arrivals) {
     std::size_t task_slack = 64;
     for (const ServedModel& model : *models_) {
       task_slack += 16 * static_cast<std::size_t>(model.flat->size);
     }
-    engine_.reserve(arrivals + task_slack);
+    engine_.reserve(arrivals + task_slack, arrivals + models_->size());
     result_.completed.reserve(arrivals);
     result_.rejected.reserve(arrivals);
   }

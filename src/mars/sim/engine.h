@@ -9,11 +9,21 @@
 // O(events log events) however deep the backlog. Ties resolve by event
 // insertion order, so replays are bit-deterministic.
 //
+// Each task's work is resolved once, when the engine is built: a step
+// record per task holds, for each leg, the resource it takes (an
+// accelerator, or a channel of its route) and for how long. Barriers and
+// zero-byte transfers have no leg and finish as soon as they are ready.
+// The event loop reads that record and nothing else of the task's
+// columns, routes or link timing.
+//
 // The engine replays any number of instances of any number of graphs at
 // once. sim::Executor adds one instance at t=0; the serving scheduler
 // (serve/scheduler.cpp) adds one per admitted request while the clock
 // advances, and queues its arrivals and batch deadlines here as External
-// events, so they share one (time, seq) order with the task events.
+// events, so they share one (time, seq) order with the task events. An
+// External event's payload waits in an engine-owned slot table, so queue
+// entries stay 32 bytes whatever the caller's payload; slots are recycled
+// as their events pop, and reserve() pre-sizes the table.
 //
 // Instances live in arena blocks: a header (the caller's Meta plus
 // bookkeeping) and a trailing missing-dependency count per task, copied
@@ -39,10 +49,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <new>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -89,33 +99,38 @@ class Engine {
   /// `graphs` must target `topo` (FlatTaskGraph::check_resources) and
   /// outlive the engine.
   Engine(const topology::Topology& topo, const SimParams& params,
-         std::vector<const FlatTaskGraph*> graphs)
-      : network_(topo, params),
-        graphs_(std::move(graphs)),
-        free_lists_(graphs_.size(), nullptr),
-        accs_(topo.size()),
-        free_(static_cast<std::size_t>(accs_ + network_.num_channels()),
-              Seconds(0.0)),
-        waits_(free_.size()),
-        routes_(static_cast<std::size_t>((accs_ + 1) * (accs_ + 1))),
-        acc_busy_(static_cast<std::size_t>(accs_), Seconds(0.0)) {}
+         const std::vector<const FlatTaskGraph*>& graphs)
+      : Engine(topo.size(), Network(topo, params), graphs) {}
 
-  /// Pre-sizes the event heap for `events` concurrent events.
-  void reserve(std::size_t events) { queue_.reserve(events); }
+  /// Pre-sizes the event queue for `events` concurrent events, and the
+  /// External slot table for `externals` of them.
+  void reserve(std::size_t events, std::size_t externals) {
+    queue_.reserve(events);
+    externals_.reserve(externals);
+    spare_externals_.reserve(externals);
+  }
 
   /// Queues `event` for hooks.external at `time`.
   void push(Seconds time, const External& event) {
-    queue_.push(time, Event(event));
+    int slot = static_cast<int>(externals_.size());
+    if (spare_externals_.empty()) {
+      externals_.push_back(event);
+    } else {
+      slot = spare_externals_.back();
+      spare_externals_.pop_back();
+      externals_[static_cast<std::size_t>(slot)] = event;
+    }
+    queue_.push(time, Event(Kind::kExternal, Ref{nullptr, slot, 0}));
   }
 
   /// Adds an instance of graph `graph` at now(): its roots become ready
   /// in id order.
   void add(int graph, const Meta& meta) {
-    const auto g = static_cast<std::size_t>(graph);
-    const FlatTaskGraph& flat = *graphs_[g];
-    Instance* instance = free_lists_[g];
+    Graph& g = graphs_[static_cast<std::size_t>(graph)];
+    const FlatTaskGraph& flat = *g.flat;
+    Instance* instance = g.free_list;
     if (instance != nullptr) {
-      free_lists_[g] = instance->next_free;
+      g.free_list = instance->next_free;
     } else {
       void* block = arena_.allocate(
           sizeof(Instance) + sizeof(int) * static_cast<std::size_t>(flat.size),
@@ -142,9 +157,15 @@ class Engine {
       const Event event = queue_.pop(now_);
       ++events_;
       switch (event.kind) {
-        case Kind::kExternal:
-          hooks.external(event.external);
+        case Kind::kExternal: {
+          // Copy the payload out and free its slot first: the hook may
+          // push further externals.
+          const auto slot = static_cast<std::size_t>(event.task);
+          const External external = externals_[slot];
+          spare_externals_.push_back(event.task);
+          hooks.external(external);
           break;
+        }
         case Kind::kTryStart:
           try_start(hooks, event.ref());
           break;
@@ -186,7 +207,7 @@ class Engine {
   static_assert(alignof(Instance) % alignof(int) == 0);
 
   enum class Kind : std::uint8_t {
-    kExternal,  // the caller's event
+    kExternal,  // the caller's event, its payload in slot `task`
     kTryStart,  // task `ref()` wants to start leg `leg` (0 for compute)
     kLegDone,   // transfer `ref()` finished leg `leg`
     kTaskDone,  // compute task `ref()` finished
@@ -201,18 +222,14 @@ class Engine {
     int leg = 0;
   };
 
-  /// A Ref and a kind in 16 bytes, then the caller's payload: the heap
-  /// moves events on every push and pop, so serving's 24-byte payload
-  /// keeps its entries at one 64-byte line. (As a union with the payload,
-  /// or with an unpacked Ref, serving replays measured 5-13% slower.)
+  /// A Ref and a kind packed into 16 bytes, so a queue entry with its
+  /// (time, seq) key is 32: the heap moves entries on every push and pop.
   struct Event {
     Event(Kind kind_in, const Ref& ref)
         : instance(ref.instance),
           task(ref.task),
           leg(static_cast<std::int16_t>(ref.leg)),
           kind(kind_in) {}
-    explicit Event(const External& event)
-        : kind(Kind::kExternal), external(event) {}
 
     [[nodiscard]] Ref ref() const { return Ref{instance, task, leg}; }
 
@@ -220,41 +237,89 @@ class Engine {
     int task = -1;
     std::int16_t leg = 0;
     Kind kind;
-    [[no_unique_address]] External external{};
+  };
+  static_assert(sizeof(Event) == 16);
+
+  /// A task's work, resolved when the engine is built: per leg, the
+  /// resource it takes (accelerators first, then channels) and for how
+  /// long. A compute task has one leg on its accelerator, a transfer one
+  /// per route leg; a barrier or zero-byte transfer has none.
+  struct Step {
+    static constexpr std::size_t kMaxLegs = 2;  // Network::route's longest
+    std::array<Seconds, kMaxLegs> durations{};
+    std::array<std::uint32_t, kMaxLegs> resources{};
+    int legs = 0;
+    bool compute = false;
   };
 
-  template <typename Hooks>
-  void try_start(Hooks& hooks, const Ref& ref) {
-    Instance& instance = *ref.instance;
-    const FlatTaskGraph& flat = graph_of(instance);
-    const auto t = static_cast<std::size_t>(ref.task);
-    switch (flat.kinds[t]) {
-      case TaskKind::kBarrier:
-        hooks.begun(instance, ref.task);
-        finish(hooks, instance, ref.task);
-        break;
-      case TaskKind::kCompute:
-        take(hooks, ref, static_cast<std::size_t>(flat.accs[t]));
-        break;
-      case TaskKind::kTransfer: {
-        if (flat.bytes[t].count() <= 0.0) {
-          hooks.begun(instance, ref.task);
-          finish(hooks, instance, ref.task);
-          break;
-        }
-        const std::vector<RouteLeg>& route = route_for(flat.srcs[t],
-                                                       flat.dsts[t]);
-        MARS_CHECK(ref.leg < static_cast<int>(route.size()),
-                   "leg index out of range");
-        const RouteLeg& hop = route[static_cast<std::size_t>(ref.leg)];
-        take(hooks, ref, static_cast<std::size_t>(accs_ + hop.channel));
-        break;
+  /// One graph: its flat form, one Step per task, and the recycled
+  /// instance blocks.
+  struct Graph {
+    const FlatTaskGraph* flat = nullptr;
+    std::vector<Step> steps;
+    Instance* free_list = nullptr;
+  };
+
+  Engine(int accs, const Network& network,
+         const std::vector<const FlatTaskGraph*>& graphs)
+      : host_latency_(network.params().host_latency),
+        free_(static_cast<std::size_t>(accs + network.num_channels()),
+              Seconds(0.0)),
+        waits_(free_.size()),
+        acc_busy_(static_cast<std::size_t>(accs), Seconds(0.0)) {
+    std::vector<std::vector<RouteLeg>> routes(
+        static_cast<std::size_t>((accs + 1) * (accs + 1)));
+    graphs_.reserve(graphs.size());
+    for (const FlatTaskGraph* flat : graphs) {
+      Graph& graph = graphs_.emplace_back();
+      graph.flat = flat;
+      graph.steps.resize(static_cast<std::size_t>(flat->size));
+      for (std::size_t t = 0; t < graph.steps.size(); ++t) {
+        graph.steps[t] = resolve(*flat, t, accs, network, routes);
       }
     }
   }
 
-  /// A fresh try on resource `r` (accelerators first, then channels):
-  /// start now, or park in the resource's wait queue.
+  /// Task `t`'s Step; `routes` memoises Network::route by (src, dst).
+  [[nodiscard]] static Step resolve(
+      const FlatTaskGraph& flat, std::size_t t, int accs,
+      const Network& network, std::vector<std::vector<RouteLeg>>& routes) {
+    Step step;
+    if (flat.kinds[t] == TaskKind::kCompute) {
+      step.legs = 1;
+      step.compute = true;
+      step.resources[0] = static_cast<std::uint32_t>(flat.accs[t]);
+      step.durations[0] = flat.durations[t];
+    } else if (flat.kinds[t] == TaskKind::kTransfer &&
+               flat.bytes[t].count() > 0.0) {
+      std::vector<RouteLeg>& route =
+          routes[static_cast<std::size_t>((flat.srcs[t] + 1) * (accs + 1) +
+                                          (flat.dsts[t] + 1))];
+      if (route.empty()) route = network.route(flat.srcs[t], flat.dsts[t]);
+      MARS_CHECK(route.size() <= Step::kMaxLegs, "route has too many legs");
+      step.legs = static_cast<int>(route.size());
+      for (std::size_t leg = 0; leg < route.size(); ++leg) {
+        step.resources[leg] =
+            static_cast<std::uint32_t>(accs + route[leg].channel);
+        step.durations[leg] = network.leg_time(route[leg], flat.bytes[t]);
+      }
+    }
+    return step;
+  }
+
+  template <typename Hooks>
+  void try_start(Hooks& hooks, const Ref& ref) {
+    const Step& step = step_of(ref);
+    if (step.legs == 0) {
+      hooks.begun(*ref.instance, ref.task);
+      finish(hooks, *ref.instance, ref.task);
+      return;
+    }
+    take(hooks, ref, step.resources[static_cast<std::size_t>(ref.leg)]);
+  }
+
+  /// A fresh try on resource `r`: start now, or park in the resource's
+  /// wait queue.
   template <typename Hooks>
   void take(Hooks& hooks, const Ref& ref, std::size_t r) {
     if (free_[r] > now_) {
@@ -269,31 +334,24 @@ class Engine {
   template <typename Hooks>
   void start(Hooks& hooks, const Ref& ref, std::size_t r) {
     Instance& instance = *ref.instance;
-    const FlatTaskGraph& flat = graph_of(instance);
-    const auto t = static_cast<std::size_t>(ref.task);
+    const Step& step = step_of(ref);
     if (ref.leg == 0) hooks.begun(instance, ref.task);
-    if (flat.kinds[t] == TaskKind::kCompute) {
-      const Seconds duration = flat.durations[t];
-      free_[r] = now_ + duration;
-      acc_busy_[r] += duration;
-      hooks.compute_started(instance, static_cast<int>(r), duration);
-      queue_.push(free_[r], Event(Kind::kTaskDone, ref));
+    const Seconds duration = step.durations[static_cast<std::size_t>(ref.leg)];
+    free_[r] = now_ + duration;
+    if (!step.compute) {
+      queue_.push(free_[r], Event(Kind::kLegDone, ref));
       return;
     }
-    const RouteLeg& hop = route_for(flat.srcs[t], flat.dsts[t])
-        [static_cast<std::size_t>(ref.leg)];
-    free_[r] = now_ + network_.leg_time(hop, flat.bytes[t]);
-    queue_.push(free_[r], Event(Kind::kLegDone, ref));
+    acc_busy_[r] += duration;
+    hooks.compute_started(instance, static_cast<int>(r), duration);
+    queue_.push(free_[r], Event(Kind::kTaskDone, ref));
   }
 
   template <typename Hooks>
   void leg_done(Hooks& hooks, const Ref& ref) {
-    const FlatTaskGraph& flat = graph_of(*ref.instance);
-    const auto t = static_cast<std::size_t>(ref.task);
-    if (ref.leg + 1 <
-        static_cast<int>(route_for(flat.srcs[t], flat.dsts[t]).size())) {
+    if (ref.leg + 1 < step_of(ref).legs) {
       // Store-and-forward at the host before the next leg.
-      queue_.push(now_ + network_.params().host_latency,
+      queue_.push(now_ + host_latency_,
                   Event(Kind::kTryStart, Ref{ref.instance, ref.task,
                                              ref.leg + 1}));
     } else {
@@ -306,7 +364,8 @@ class Engine {
     horizon_ = std::max(horizon_, now_);
     ++tasks_executed_;
     hooks.finished(instance, task);
-    const FlatTaskGraph& flat = graph_of(instance);
+    Graph& graph = graphs_[static_cast<std::size_t>(instance.graph)];
+    const FlatTaskGraph& flat = *graph.flat;
     int* missing = instance.missing();
     const auto t = static_cast<std::size_t>(task);
     const auto begin = static_cast<std::size_t>(flat.dependent_offsets[t]);
@@ -319,40 +378,31 @@ class Engine {
     }
     if (--instance.tasks_remaining == 0) {
       hooks.completed(instance);
-      const auto g = static_cast<std::size_t>(instance.graph);
-      instance.next_free = free_lists_[g];
-      free_lists_[g] = &instance;
+      instance.next_free = graph.free_list;
+      graph.free_list = &instance;
     }
   }
 
-  [[nodiscard]] const FlatTaskGraph& graph_of(const Instance& instance) const {
-    return *graphs_[static_cast<std::size_t>(instance.graph)];
+  [[nodiscard]] const Step& step_of(const Ref& ref) const {
+    return graphs_[static_cast<std::size_t>(ref.instance->graph)]
+        .steps[static_cast<std::size_t>(ref.task)];
   }
 
-  const std::vector<RouteLeg>& route_for(int src, int dst) {
-    auto& slot = routes_[static_cast<std::size_t>((src + 1) * (accs_ + 1) +
-                                                  (dst + 1))];
-    if (!slot) slot = network_.route(src, dst);
-    return *slot;
-  }
-
-  Network network_;
   EventQueue<Event> queue_;
   Seconds now_{};
+  // External payloads by slot, and the slots free for reuse.
+  std::vector<External> externals_;
+  std::vector<int> spare_externals_;
 
-  // Instance pool: blocks recycled through per-graph free lists, backing
-  // storage in the arena.
-  std::vector<const FlatTaskGraph*> graphs_;
-  std::vector<Instance*> free_lists_;
+  // The graphs, each with its instance pool; backing storage in the arena.
+  std::vector<Graph> graphs_;
   util::Arena arena_;
 
+  Seconds host_latency_;
   // Resources are the accelerators, then the directed channels: when each
   // frees, and who is parked on it.
-  int accs_;
   std::vector<Seconds> free_;
   WaitQueues<Ref> waits_;
-  // Routes by (src, dst), host included, computed on first use.
-  std::vector<std::optional<std::vector<RouteLeg>>> routes_;
 
   std::vector<Seconds> acc_busy_;
   Seconds horizon_{};

@@ -28,8 +28,11 @@
 // events that arrive out of order.
 //
 // Storage: the heap and the lanes live in plain vectors (std::push_heap /
-// std::pop_heap rather than std::priority_queue), so callers that know
-// the event volume up front can reserve() them; serving pre-sizes the
+// std::pop_heap rather than std::priority_queue) of (time, seq, payload)
+// entries, moved on every push and pop, so payloads should be small: the
+// engine's is 16 bytes, which makes its entries 32, and it keeps callers'
+// own payloads in a table beside the queue. Callers that know the event
+// volume up front can reserve() the vectors; serving pre-sizes the
 // engine's queue to the arrival stream, which pins its steady-state
 // allocations at zero. A lane reads its vector from a head index and
 // rewinds to the start whenever it drains. When a lane's vector is full,

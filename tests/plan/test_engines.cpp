@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/test_support.h"
 #include "mars/core/baseline.h"
 #include "mars/core/evaluator.h"
+#include "mars/obs/trace.h"
 
 namespace mars::plan {
 namespace {
@@ -289,6 +296,42 @@ TEST_F(EnginesTest, ReducedThreadEnginesReturnTheSameMapping) {
     EXPECT_EQ(reduced.history, full.history) << name;
     EXPECT_EQ(reduced.provenance.evaluations, full.provenance.evaluations)
         << name;
+  }
+}
+
+TEST_F(EnginesTest, ConcurrentSearchesReportProgressOnLanesOfTheirOwn) {
+  // Two GA searches on two threads: each thread's `ga evaluations` lane
+  // carries one search's count, so it never drops. A lane shared by both
+  // would drop where the second search's count restarts or interleaves.
+  obs::TraceRecorder rec;
+  obs::TraceRecorder* saved = obs::install_trace(&rec);
+  std::vector<std::thread> threads;
+  for (std::uint64_t seed : {7, 8}) {
+    threads.emplace_back([this, seed] {
+      (void)make_engine("ga", tiny_tuning(seed))->search(fx_.problem);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  obs::install_trace(saved);
+
+  std::map<std::string, std::vector<double>> lanes;
+  const JsonValue doc = rec.to_json();
+  const JsonValue& events = doc.get("traceEvents");
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const JsonValue& event = events.at(i);
+    const std::string name = event.get("name").as_string();
+    if (event.get("ph").as_string() == "C" &&
+        name.starts_with("ga evaluations")) {
+      lanes[name].push_back(event.get("args").get("value").as_number());
+    }
+  }
+  ASSERT_EQ(lanes.size(), 2u);
+  for (const auto& [name, values] : lanes) {
+    EXPECT_TRUE(name == "ga evaluations (thread 1)" ||
+                name == "ga evaluations (thread 2)")
+        << name;
+    EXPECT_GT(values.size(), 1u) << name;
+    EXPECT_TRUE(std::is_sorted(values.begin(), values.end())) << name;
   }
 }
 

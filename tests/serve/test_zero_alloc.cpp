@@ -8,8 +8,8 @@
 // N, so exact equality pins the per-request cost at zero.
 //
 // The fixed per-run costs that remain — engine construction, the
-// reserve() calls, arena slabs for the peak-live instance set, the route
-// cache — are identical between the two runs by design: same fleet, same
+// reserve() calls, arena slabs for the peak-live instance set, the step
+// table — are identical between the two runs by design: same fleet, same
 // bounded admission depth (both streams saturate it early), same routes.
 #include <gtest/gtest.h>
 
