@@ -11,7 +11,7 @@
 #include "mars/core/skeleton_space.h"
 #include "mars/obs/metrics.h"
 #include "mars/plan/engines.h"
-#include "mars/serve/service.h"
+#include "mars/serve/cache.h"
 #include "mars/util/error.h"
 #include "mars/util/hash.h"
 #include "mars/util/logging.h"
@@ -171,9 +171,6 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
   const auto key_of = [&](std::size_t t, topology::AccMask slice) {
     return InnerKey{t, slice == full ? 0 : slice};
   };
-  const auto inner_spec = [&](topology::AccMask placement) {
-    return serve::search_spec(inner_engine, plan::Budget{}, placement);
-  };
   // One compute-once set-pricing table per tenant, lent to every inner
   // search of the tenant through its problem: a set's greedy latency does
   // not depend on the slice, so each key is priced once per search here.
@@ -185,6 +182,12 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
         tenant_problems.back(), inner_config.second));
     tenant_problems.back().set_prices = set_prices.back().get();
   }
+  // The problem of one (tenant, slice) search, which its cache key names.
+  const auto sliced = [&](const InnerKey& key) {
+    core::Problem slice = tenant_problems[key.first];
+    slice.placement = key.second;
+    return slice;
+  };
 
   // Plans every key in one sweep; returns each key's plan, in order.
   // Mapping-cache loads run in the serial probe (once per new key), and
@@ -193,29 +196,22 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
     InnerMemo::Sweep sweep = inner.sweep();
     std::vector<InnerMemo::Ticket> tickets;
     tickets.reserve(keys.size());
-    // Per new key, by slot: its tenant, and the cache key its plan is
+    // Per new key, by slot: the key, and the cache entry its plan is
     // stored under once searched (none without a cache or on a hit).
-    struct Store {
-      std::size_t tenant;
-      std::optional<serve::MappingCache::Key> key;
-    };
-    std::vector<Store> stores;
+    std::vector<std::pair<InnerKey, std::optional<serve::MappingCache::Key>>>
+        stores;
     for (const InnerKey& key : keys) {
       tickets.push_back(sweep.probe_with(key, [&] {
         InnerJob job{key, std::nullopt};
-        std::optional<serve::MappingCache::Key> store;
+        std::optional<serve::MappingCache::Key> entry;
         if (cache != nullptr) {
-          store = serve::MappingCache::Key{
-              problem.tenants[key.first].model,
-              serve::MappingCache::fingerprint(topo, *problem.designs,
-                                               problem.adaptive,
-                                               inner_spec(key.second))};
-          job.cached =
-              cache->load(*store, objective.planner(key.first).spine(), topo,
-                          *problem.designs, problem.adaptive);
-          if (job.cached.has_value()) store.reset();
+          const core::Problem slice = sliced(key);
+          entry = serve::MappingCache::key(problem.tenants[key.first].model,
+                                           slice, inner_engine, plan::Budget{});
+          job.cached = cache->load(*entry, slice);
+          if (job.cached.has_value()) entry.reset();
         }
-        stores.push_back({key.first, std::move(store)});
+        stores.emplace_back(key, std::move(entry));
         return job;
       }));
     }
@@ -224,33 +220,19 @@ CoMapResult CoMapEngine::search(const CoMapProblem& problem,
           if (job.cached.has_value()) {
             plan::Provenance provenance;
             provenance.engine = inner_engine.name();
-            provenance.spec = inner_spec(job.key.second);
+            provenance.spec = serve::search_spec(inner_engine, plan::Budget{},
+                                                 job.key.second);
             return InnerPlan{*job.cached, std::move(provenance)};
           }
-          core::Problem sliced = tenant_problems[job.key.first];
-          sliced.placement = job.key.second;
-          plan::PlanResult searched = inner_engine.search(sliced);
+          plan::PlanResult searched = inner_engine.search(sliced(job.key));
           return InnerPlan{std::move(searched.mapping),
                            std::move(searched.provenance)};
         });
     for (std::size_t slot = 0; slot < stores.size(); ++slot) {
-      // Same rule as ModelService: a cancelled search's truncated mapping
-      // must never poison the complete-search fingerprint. (Inner searches
-      // here are unbudgeted, so this only guards future config changes.)
-      if (!stores[slot].key.has_value() ||
-          planned[slot]->provenance.stopped == plan::StopReason::kCancelled) {
-        continue;
-      }
-      const std::size_t t = stores[slot].tenant;
-      try {
-        cache->store(*stores[slot].key, planned[slot]->mapping,
-                     objective.planner(t).spine(), *problem.designs,
-                     problem.adaptive);
-      } catch (const std::exception& e) {
-        MARS_WARN << "mapping cache store failed for '"
-                  << problem.tenants[t].model
-                  << "' (comap continues uncached): " << e.what();
-      }
+      const auto& [key, entry] = stores[slot];
+      if (!entry.has_value()) continue;
+      cache->store_searched(*entry, planned[slot]->mapping,
+                            planned[slot]->provenance, sliced(key));
     }
     std::vector<const InnerPlan*> plans;
     plans.reserve(tickets.size());

@@ -19,8 +19,8 @@
 //               shared pool) by the inner plan::GaEngine through
 //               core::Problem::placement; inner plans are memoised per
 //               (tenant, slice) in a util::MemoBatch and composed with the
-//               MappingCache under the ";placement=<hex>" search-spec
-//               identity.
+//               MappingCache through MappingCache::key, whose
+//               ";placement=<hex>" suffix keeps slices apart.
 //
 //   interleave  Concatenation of the tenants' first-level skeleton
 //               genomes on the full fleet (one FirstLevelCodec slice per

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "mars/plan/engines.h"
-#include "mars/serve/service.h"
+#include "mars/serve/cache.h"
 #include "mars/util/error.h"
 #include "mars/util/json.h"
 #include "mars/util/rng.h"

@@ -87,7 +87,8 @@ class ExploreEngine {
   [[nodiscard]] std::string spec_string() const;
 
   /// Runs the co-search. `cache` (optional) memoises inner searches
-  /// across runs with the same fingerprints `mars_map map` uses.
+  /// across runs under MappingCache::key, the key serve, comap and warm
+  /// use too.
   [[nodiscard]] ExploreResult search(const serve::MappingCache* cache = nullptr,
                                      const plan::Budget& budget = {},
                                      const plan::ProgressFn& progress = {}) const;

@@ -4,10 +4,8 @@
 
 #include "mars/core/evaluator.h"
 #include "mars/plan/planner.h"
-#include "mars/serve/service.h"
 #include "mars/util/error.h"
 #include "mars/util/hash.h"
-#include "mars/util/logging.h"
 #include "mars/util/strings.h"
 
 namespace mars::explore {
@@ -121,41 +119,28 @@ PointOutcome PointPricer::price_one(const HardwarePoint& point) const {
   out.engine = inner_->name();
   out.search_spec = serve::search_spec(*inner_, inner_budget_, 0);
 
-  const serve::MappingCache::Key key{
-      model_, serve::MappingCache::fingerprint(built.topo, built.designs,
-                                               /*adaptive=*/true,
-                                               out.search_spec)};
+  const core::Problem& problem = planner.problem();
+  std::optional<serve::MappingCache::Key> key;
+  std::optional<core::Mapping> cached;
+  if (cache_ != nullptr) {
+    key = serve::MappingCache::key(model_, problem, *inner_, inner_budget_);
+    cached = cache_->load(*key, problem);
+  }
   core::Mapping mapping;
   core::EvaluationSummary summary;
-  bool have_mapping = false;
-  if (cache_ != nullptr) {
-    if (std::optional<core::Mapping> cached = cache_->load(
-            key, planner.spine(), built.topo, built.designs, /*adaptive=*/true)) {
-      mapping = *std::move(cached);
-      // Same evaluation the search path runs (plan engines finish with
-      // MappingEvaluator::evaluate), so warm outcomes are bit-identical
-      // to cold ones.
-      summary = core::MappingEvaluator(planner.problem()).evaluate(mapping);
-      out.from_cache = true;
-      have_mapping = true;
-    }
-  }
-  if (!have_mapping) {
+  if (cached) {
+    mapping = *std::move(cached);
+    // Same evaluation the search path runs (plan engines finish with
+    // MappingEvaluator::evaluate), so warm outcomes are bit-identical to
+    // cold ones.
+    summary = core::MappingEvaluator(problem).evaluate(mapping);
+    out.from_cache = true;
+  } else {
     plan::PlanResult result = planner.plan(*inner_, inner_budget_);
     mapping = std::move(result.mapping);
     summary = result.summary;
     out.evaluations = result.provenance.evaluations;
-    const bool storable =
-        result.provenance.stopped != plan::StopReason::kCancelled;
-    if (cache_ != nullptr && storable) {
-      try {
-        cache_->store(key, mapping, planner.spine(), built.designs,
-                      /*adaptive=*/true);
-      } catch (const std::exception& e) {
-        MARS_WARN << "explore: cache store failed for point '" << point.spec()
-                  << "' (search result kept): " << e.what();
-      }
-    }
+    if (key) cache_->store_searched(*key, mapping, result.provenance, problem);
   }
 
   out.makespan_s = summary.analytic_makespan.count();

@@ -12,9 +12,9 @@
 // misses priced on a util::WorkerPool, outcomes published in first-seen
 // order — so priced outcomes (and everything derived from them) are
 // byte-identical at any --threads. An optional serve::MappingCache
-// composes transparently: the per-point fingerprint is the same one
-// `mars_map map` and the serving stack use, so explore warms the same
-// cache it reads.
+// composes transparently: each point is keyed by MappingCache::key, the
+// one key function serve, comap and warm use too, so explore warms the
+// same cache it reads.
 #pragma once
 
 #include <memory>

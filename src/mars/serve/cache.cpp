@@ -45,6 +45,24 @@ class Fnv1a {
 
 }  // namespace
 
+std::string search_spec(const plan::SearchEngine& engine,
+                        const plan::Budget& budget,
+                        topology::AccMask placement) {
+  std::ostringstream os;
+  os << engine.spec_string();
+  // A budget changes what the search returns, so it is part of the cache
+  // identity. Wall-clock budgets are non-reproducible, but cache reuse of
+  // one is exactly the point: search once under the time cap, reload after.
+  if (budget.max_evaluations > 0) os << ";evals=" << budget.max_evaluations;
+  if (budget.wall_clock.count() > 0.0) {
+    os << ";wall_ms=" << budget.wall_clock.millis();
+  }
+  // Placement-confined searches (comap slices) get their own identity;
+  // full-fleet searches keep their historical fingerprint unchanged.
+  if (placement != 0) os << ";placement=" << std::hex << placement;
+  return os.str();
+}
+
 MappingCache::MappingCache(std::string dir)
     : dir_(std::move(dir)),
       hits_(&metrics_.counter("serve.cache.hits")),
@@ -100,6 +118,15 @@ std::string MappingCache::fingerprint(const topology::Topology& topo,
   return fnv.hex();
 }
 
+std::optional<MappingCache::Key> MappingCache::key(
+    const std::string& model, const core::Problem& problem,
+    const plan::SearchEngine& engine, const plan::Budget& budget) {
+  if (!engine.searches()) return std::nullopt;
+  return Key{model, fingerprint(*problem.topo, *problem.designs,
+                                problem.adaptive,
+                                search_spec(engine, budget, problem.placement))};
+}
+
 std::string MappingCache::path_for(const Key& key) const {
   return (std::filesystem::path(dir_) /
           (key.model + "-" + key.fingerprint + ".json"))
@@ -107,9 +134,7 @@ std::string MappingCache::path_for(const Key& key) const {
 }
 
 std::optional<core::Mapping> MappingCache::load(
-    const Key& key, const graph::ConvSpine& spine,
-    const topology::Topology& topo, const accel::DesignRegistry& designs,
-    bool adaptive) const {
+    const Key& key, const core::Problem& problem) const {
   const std::string path = path_for(key);
   std::ifstream file(path);
   if (!file) {
@@ -129,10 +154,12 @@ std::optional<core::Mapping> MappingCache::load(
       corrupt_->add();
       return std::nullopt;
     }
-    core::Mapping mapping = core::mapping_from_json(entry.get("mapping"),
-                                                    spine, topo, designs,
-                                                    adaptive);
+    core::Mapping mapping = core::mapping_from_json(
+        entry.get("mapping"), *problem.spine, *problem.topo, *problem.designs,
+        problem.adaptive);
     hits_->add();
+    MARS_INFO << "mapping cache hit for '" << key.model << "' (" << path
+              << "), search skipped";
     return mapping;
   } catch (const std::exception& e) {
     MARS_WARN << "mapping cache entry " << path
@@ -143,33 +170,40 @@ std::optional<core::Mapping> MappingCache::load(
   }
 }
 
-void MappingCache::store(const Key& key, const core::Mapping& mapping,
-                         const graph::ConvSpine& spine,
-                         const accel::DesignRegistry& designs,
-                         bool adaptive) const {
-  JsonValue entry = JsonValue::object();
-  entry.set("format", JsonValue::integer(kCacheFormat));
-  entry.set("model", JsonValue::string(key.model));
-  entry.set("fingerprint", JsonValue::string(key.fingerprint));
-  entry.set("mapping", core::to_json(mapping, spine, designs, adaptive));
-
-  // Write-then-rename so a concurrent reader never sees a torn file; the
-  // tmp name carries the pid so concurrent cold-starting processes never
-  // interleave writes into the same tmp file (last rename wins whole).
+void MappingCache::store_searched(const Key& key, const core::Mapping& mapping,
+                                  const plan::Provenance& provenance,
+                                  const core::Problem& problem) const {
+  if (provenance.stopped == plan::StopReason::kCancelled) return;
   const std::string path = path_for(key);
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
-  {
-    std::ofstream file(tmp);
-    MARS_CHECK(file.good(), "cannot write mapping cache file " << tmp);
-    file << entry.dump() << '\n';
-    MARS_CHECK(file.good(), "short write to mapping cache file " << tmp);
+  try {
+    JsonValue entry = JsonValue::object();
+    entry.set("format", JsonValue::integer(kCacheFormat));
+    entry.set("model", JsonValue::string(key.model));
+    entry.set("fingerprint", JsonValue::string(key.fingerprint));
+    entry.set("mapping", core::to_json(mapping, *problem.spine,
+                                       *problem.designs, problem.adaptive));
+    // Write-then-rename so a concurrent reader never sees a torn file; the
+    // tmp name carries the pid so concurrent cold-starting processes never
+    // interleave writes into the same tmp file (last rename wins whole).
+    const std::string tmp =
+        path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
+    {
+      std::ofstream file(tmp);
+      MARS_CHECK(file.good(), "cannot write mapping cache file " << tmp);
+      file << entry.dump() << '\n';
+      MARS_CHECK(file.good(), "short write to mapping cache file " << tmp);
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    MARS_CHECK(!ec, "cannot move mapping cache file into place at "
+                        << path << ": " << ec.message());
+  } catch (const std::exception& e) {
+    MARS_WARN << "mapping cache store failed for '" << key.model
+              << "' (the searched mapping is kept, uncached): " << e.what();
+    return;
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  MARS_CHECK(!ec, "cannot move mapping cache file into place at " << path
-                      << ": " << ec.message());
   stores_->add();
+  MARS_INFO << "mapping cache miss for '" << key.model << "'; stored " << path;
 }
 
 }  // namespace mars::serve

@@ -7,26 +7,43 @@
 // a cache directory, and rehydrated (plus re-validated against the live
 // problem) on the next construction.
 //
+// The cache policy lives here, once, for every user (serve's
+// plan_services, comap's inner plans, explore's point pricer, warm):
+// key() names the entry a search is cached under, load() rehydrates it,
+// and store_searched() persists a finished search. A caller is a key, a
+// load and a store call.
+//
 // Invalidation is structural, not temporal: the fingerprint hashes the
 // topology (accelerators, DRAM, links, host bandwidths), the design
 // registry, the adaptive flag, and the search identity — the engine's
 // canonical spec string (plan::SearchEngine::spec_string(), which names
-// the engine and every search knob including the seed) plus any budget
-// the caller appends. Change any of them and the key misses; stale
-// entries are never read, only orphaned. In particular a GA mapping is
-// never served to an annealing run: the engine name itself is part of
-// the key. A corrupt, truncated or foreign-problem file is treated as a
-// miss (logged), never an error — the cache must not be able to break
-// serving startup.
+// the engine and every search knob including the seed) plus the budget
+// and placement suffixes of search_spec(). Change any of them and the key
+// misses; stale entries are never read, only orphaned. In particular a GA
+// mapping is never served to an annealing run: the engine name itself is
+// part of the key. A corrupt, truncated or foreign-problem file is treated
+// as a miss (logged), and a failed write is logged and dropped — the cache
+// must not be able to break a run.
 #pragma once
 
 #include <optional>
 #include <string>
 
+#include "mars/core/cost_model.h"
 #include "mars/core/mapping.h"
 #include "mars/obs/metrics.h"
+#include "mars/plan/engine.h"
 
 namespace mars::serve {
+
+/// Canonical cache-identity string for a (engine, budget) pair: the
+/// engine's spec_string(), suffixed with the budget when one is set so a
+/// budget-truncated search never aliases an unbudgeted one. A non-zero
+/// `placement` appends a ";placement=<hex>" suffix (full-fleet searches
+/// keep their historical identity).
+[[nodiscard]] std::string search_spec(const plan::SearchEngine& engine,
+                                      const plan::Budget& budget,
+                                      topology::AccMask placement = 0);
 
 class MappingCache {
  public:
@@ -35,6 +52,8 @@ class MappingCache {
   struct Key {
     std::string model;
     std::string fingerprint;
+
+    friend bool operator==(const Key&, const Key&) = default;
   };
 
   /// Opens (and creates, if needed) the cache directory. Throws
@@ -50,30 +69,42 @@ class MappingCache {
   /// cost and energy/MAC per design — a custom design whose formula
   /// changes without touching any of those must change its name or
   /// parameter string to invalidate),
-  /// adaptive flag, and `search_spec` — the engine's spec_string()
-  /// (engine name + config + seed), optionally suffixed with the search
-  /// budget by the caller. Returned as 16 hex characters.
+  /// adaptive flag, and `search_spec` — the search_spec() string above.
+  /// Returned as 16 hex characters. Callers go through key(); the
+  /// formula is public so tests can pin it.
   [[nodiscard]] static std::string fingerprint(const topology::Topology& topo,
                                                const accel::DesignRegistry& designs,
                                                bool adaptive,
                                                const std::string& search_spec);
 
+  /// The entry a search of `model` on `problem` by `engine` under
+  /// `budget` is cached under: fingerprint(topo, designs, adaptive,
+  /// search_spec(engine, budget, problem.placement)). Nullopt when the
+  /// engine does not search: a closed-form mapping is cheaper than
+  /// reading and validating an entry, so the baseline bypasses the cache.
+  [[nodiscard]] static std::optional<Key> key(const std::string& model,
+                                              const core::Problem& problem,
+                                              const plan::SearchEngine& engine,
+                                              const plan::Budget& budget);
+
   /// File a key maps to: `<dir>/<model>-<fingerprint>.json`.
   [[nodiscard]] std::string path_for(const Key& key) const;
 
-  /// Loads and re-validates the entry for `key`. Returns nullopt on any
-  /// miss: absent file, unreadable/corrupt JSON, key mismatch, or a
-  /// mapping that no longer validates against the given problem.
+  /// Loads and re-validates the entry for `key` against `problem`.
+  /// Returns nullopt on any miss: absent file, unreadable/corrupt JSON,
+  /// key mismatch, or a mapping that no longer validates.
   [[nodiscard]] std::optional<core::Mapping> load(
-      const Key& key, const graph::ConvSpine& spine,
-      const topology::Topology& topo, const accel::DesignRegistry& designs,
-      bool adaptive) const;
+      const Key& key, const core::Problem& problem) const;
 
-  /// Serialises `mapping` under `key` (overwrites any previous entry).
-  /// Throws Error when the file cannot be written.
-  void store(const Key& key, const core::Mapping& mapping,
-             const graph::ConvSpine& spine, const accel::DesignRegistry& designs,
-             bool adaptive) const;
+  /// Serialises a searched `mapping` under `key` (overwrites any previous
+  /// entry), unless its search was cancelled: a cancel token is a runtime
+  /// event no key can capture, so a truncated best-so-far mapping would
+  /// poison every later run under the complete-search fingerprint. A
+  /// failed write (full disk, permissions) is logged and dropped — it
+  /// costs the next run its hit, never this run its mapping.
+  void store_searched(const Key& key, const core::Mapping& mapping,
+                      const plan::Provenance& provenance,
+                      const core::Problem& problem) const;
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
@@ -92,9 +123,9 @@ class MappingCache {
  private:
   std::string dir_;
   /// Instance registry (the canonical counts live here; the destructor
-  /// folds them into the installed global registry). load()/store() are
-  /// const, so they increment through these pointers, resolved once at
-  /// construction — registry references are stable.
+  /// folds them into the installed global registry). load() and
+  /// store_searched() are const, so they increment through these pointers,
+  /// resolved once at construction — registry references are stable.
   obs::MetricsRegistry metrics_;
   obs::Counter* hits_;
   obs::Counter* misses_;

@@ -4,34 +4,13 @@
 #include <exception>
 #include <numeric>
 #include <optional>
-#include <sstream>
 
 #include "mars/core/evaluator.h"
-#include "mars/graph/models/models.h"
 #include "mars/sim/executor.h"
 #include "mars/util/error.h"
-#include "mars/util/logging.h"
 #include "mars/util/worker_pool.h"
 
 namespace mars::serve {
-
-std::string search_spec(const plan::SearchEngine& engine,
-                        const plan::Budget& budget,
-                        topology::AccMask placement) {
-  std::ostringstream os;
-  os << engine.spec_string();
-  // A budget changes what the search returns, so it is part of the cache
-  // identity. Wall-clock budgets are non-reproducible, but cache reuse of
-  // one is exactly the point: search once under the time cap, reload after.
-  if (budget.max_evaluations > 0) os << ";evals=" << budget.max_evaluations;
-  if (budget.wall_clock.count() > 0.0) {
-    os << ";wall_ms=" << budget.wall_clock.millis();
-  }
-  // Placement-confined searches (comap slices) get their own identity;
-  // full-fleet searches keep their historical fingerprint unchanged.
-  if (placement != 0) os << ";placement=" << std::hex << placement;
-  return os.str();
-}
 
 namespace detail {
 
@@ -42,7 +21,6 @@ struct ModelStart {
   std::string name;
   std::optional<plan::Planner> planner;
   std::optional<MappingCache::Key> key;
-  std::string spec;  // search_spec() of the engine, budget and placement
   core::Mapping mapping;
   plan::Provenance provenance;
   ModelService::MappingSource source = ModelService::MappingSource::kBaseline;
@@ -66,31 +44,23 @@ ModelStart begin(std::string name, const topology::Topology& topo,
   start.name = std::move(name);
   start.planner.emplace(plan::Planner::for_model(start.name, topo, designs,
                                                  adaptive, placement));
-  start.spec = search_spec(engine, budget, placement);
-  // Closed-form engines bypass the cache: the baseline is cheaper than
-  // reading and validating a cache entry.
-  if (cache != nullptr && engine.searches()) {
-    start.key = MappingCache::Key{
-        start.name,
-        MappingCache::fingerprint(topo, designs, adaptive, start.spec)};
+  if (cache != nullptr) {
+    start.key = MappingCache::key(start.name, start.planner->problem(), engine,
+                                  budget);
   }
   return start;
 }
 
 /// Takes the mapping from the cache on a hit.
 void load(ModelStart& start, const MappingCache& cache,
-          const plan::SearchEngine& engine, const topology::Topology& topo,
-          const accel::DesignRegistry& designs, bool adaptive) {
-  std::optional<core::Mapping> cached = cache.load(
-      *start.key, start.planner->spine(), topo, designs, adaptive);
+          const plan::SearchEngine& engine, const plan::Budget& budget) {
+  const core::Problem& problem = start.planner->problem();
+  std::optional<core::Mapping> cached = cache.load(*start.key, problem);
   if (!cached) return;
   start.mapping = *std::move(cached);
   start.source = Source::kCacheHit;
   start.provenance.engine = engine.name();
-  start.provenance.spec = start.spec;
-  MARS_INFO << "mapping cache hit for '" << start.name << "' ("
-            << cache.path_for(*start.key) << "), " << engine.name()
-            << " search skipped";
+  start.provenance.spec = search_spec(engine, budget, problem.placement);
 }
 
 /// Searches the mapping unless the cache supplied it, then compiles the
@@ -112,55 +82,7 @@ void search_and_compile(ModelStart& start, const plan::SearchEngine& engine,
       sim::Executor(topo, problem.sim_params).run(start.flat_proto).makespan;
 }
 
-/// Stores a searched mapping under the start's cache key.
-void store(const ModelStart& start, const MappingCache& cache,
-           const accel::DesignRegistry& designs, bool adaptive) {
-  // Evaluation/wall budgets are part of the fingerprint, but a cancel
-  // token is a runtime event no key can capture: storing a cancelled
-  // search's truncated mapping would poison every later startup under
-  // the complete-search fingerprint.
-  if (start.source != Source::kSearched ||
-      start.provenance.stopped == plan::StopReason::kCancelled) {
-    return;
-  }
-  // A persistence failure (full disk, permissions) only costs the next
-  // startup its cache hit; the searched mapping is in hand.
-  try {
-    cache.store(*start.key, start.mapping, start.planner->spine(), designs,
-                adaptive);
-    MARS_INFO << "mapping cache miss for '" << start.name << "'; stored "
-              << cache.path_for(*start.key);
-  } catch (const std::exception& e) {
-    MARS_WARN << "mapping cache store failed for '" << start.name
-              << "' (serving continues uncached): " << e.what();
-  }
-}
-
-/// One model's start-up on the calling thread, steps in order.
-ModelStart start_alone(std::string name, const topology::Topology& topo,
-                       const accel::DesignRegistry& designs, bool adaptive,
-                       const plan::SearchEngine& engine,
-                       const MappingCache* cache, const plan::Budget& budget,
-                       topology::AccMask placement) {
-  ModelStart start = begin(std::move(name), topo, designs, adaptive, engine,
-                           cache, budget, placement);
-  if (start.key) load(start, *cache, engine, topo, designs, adaptive);
-  search_and_compile(start, engine, budget, topo);
-  if (start.key) store(start, *cache, designs, adaptive);
-  return start;
-}
-
 }  // namespace
-
-ModelService::ModelService(std::string model_name,
-                           const topology::Topology& topo,
-                           const accel::DesignRegistry& designs, bool adaptive,
-                           const plan::SearchEngine& engine,
-                           const MappingCache* cache,
-                           const plan::Budget& budget,
-                           topology::AccMask placement)
-    : ModelService(start_alone(std::move(model_name), topo, designs, adaptive,
-                               engine, cache, budget, placement)) {}
 
 ModelService::ModelService(detail::ModelStart&& start)
     : name_(std::move(start.name)),
@@ -245,16 +167,14 @@ std::vector<std::unique_ptr<ModelService>> plan_services(
       const std::optional<MappingCache::Key>& key = starts[i].key;
       if (key) {
         const bool repeated = std::any_of(
-            keys.begin(), keys.end(), [&](const MappingCache::Key* seen) {
-              return seen->model == key->model &&
-                     seen->fingerprint == key->fingerprint;
-            });
+            keys.begin(), keys.end(),
+            [&](const MappingCache::Key* seen) { return *seen == *key; });
         if (repeated) {
           later.push_back(i);
           continue;
         }
         keys.push_back(&*key);
-        load(starts[i], *cache, model_engine, topo, designs, adaptive);
+        load(starts[i], *cache, model_engine, budget);
       }
       wave.push_back(i);
     }
@@ -262,8 +182,10 @@ std::vector<std::unique_ptr<ModelService>> plan_services(
       search_and_compile(starts[i], model_engine, budget, topo);
     });
     for (const std::size_t i : wave) {
-      if (i < failed && starts[i].key) {
-        store(starts[i], *cache, designs, adaptive);
+      const ModelStart& start = starts[i];
+      if (i < failed && start.key && start.source == Source::kSearched) {
+        cache->store_searched(*start.key, start.mapping, start.provenance,
+                              start.planner->problem());
       }
     }
     pending = std::move(later);

@@ -7,7 +7,8 @@
 // (produced by whichever plan::SearchEngine the fleet was configured
 // with, or rehydrated from the mapping cache), and the flat prototype
 // single-inference graph the engine replays once per admitted request.
-// Ownership note: the contained Problem points into the Planner
+// plan_services() below is the only way to start one, for a fleet of
+// any size. Ownership note: the contained Problem points into the Planner
 // state, so a ModelService is pinned in memory (no copy/move); hold it
 // behind unique_ptr.
 #pragma once
@@ -34,22 +35,6 @@ class ModelService {
     kSearched,  // the engine ran (and populated `cache` when given)
     kCacheHit,  // rehydrated from the mapping cache, search skipped
   };
-
-  /// Plans `model_name` with `engine` under `budget`. When `cache` is
-  /// non-null and the engine actually searches, the service first tries
-  /// the cache under (model, fingerprint(topo, designs, adaptive,
-  /// engine spec + budget)); a hit skips the search entirely, a miss
-  /// searches and then stores the result. The cache and engine must
-  /// outlive the constructor call only (nothing is retained). A non-zero
-  /// `placement` confines the search to that fleet slice (comap output);
-  /// it joins the cache identity, so sliced and full-fleet mappings never
-  /// alias.
-  ModelService(std::string model_name, const topology::Topology& topo,
-               const accel::DesignRegistry& designs, bool adaptive,
-               const plan::SearchEngine& engine,
-               const MappingCache* cache = nullptr,
-               const plan::Budget& budget = {},
-               topology::AccMask placement = 0);
 
   ModelService(const ModelService&) = delete;
   ModelService& operator=(const ModelService&) = delete;
@@ -95,15 +80,6 @@ class ModelService {
 };
 
 [[nodiscard]] std::string to_string(ModelService::MappingSource source);
-
-/// Canonical cache-identity string for a (engine, budget) pair: the
-/// engine's spec_string(), suffixed with the budget when one is set so a
-/// budget-truncated search never aliases an unbudgeted one. A non-zero
-/// `placement` appends a ";placement=<hex>" suffix (full-fleet searches
-/// keep their historical identity).
-[[nodiscard]] std::string search_spec(const plan::SearchEngine& engine,
-                                      const plan::Budget& budget,
-                                      topology::AccMask placement = 0);
 
 /// Plans one service per mix entry on the shared topology. The returned
 /// services must outlive any scheduler built over them; `engine` and

@@ -8,6 +8,7 @@
 #include "mars/obs/metrics.h"
 #include "mars/topology/presets.h"
 #include "mars/util/error.h"
+#include "mars/util/logging.h"
 
 namespace mars::comap {
 namespace {
@@ -233,6 +234,30 @@ TEST_F(EngineSearchTest, MappingCacheComposesWithInnerSearches) {
     EXPECT_GT(warm.hits(), 0);
     EXPECT_EQ(warm.stores(), 0);
     expect_identical(first, second);
+  }
+}
+
+TEST_F(EngineSearchTest, StoreFailureLeavesTheSearchUnchanged) {
+  // The cache directory vanishes after the cache opens: every inner store
+  // fails, and the search still returns what an uncached run returns.
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("comap-store-failure-" + std::to_string(threads));
+    std::filesystem::remove_all(dir);
+    const CoMapEngine engine(tiny(Encoding::kPartition, threads));
+    const CoMapResult uncached = engine.search(problem_);
+
+    const serve::MappingCache cache(dir.string());
+    std::filesystem::remove_all(dir);
+    const LogLevel previous = set_log_level(LogLevel::kError);
+    const CoMapResult result = engine.search(problem_, {}, &cache);
+    set_log_level(previous);
+    expect_identical(uncached, result);
+    EXPECT_GT(cache.misses(), 0);
+    EXPECT_EQ(cache.stores(), 0);
+    EXPECT_FALSE(std::filesystem::exists(dir));
   }
 }
 

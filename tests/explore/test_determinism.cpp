@@ -11,6 +11,7 @@
 
 #include "mars/explore/engine.h"
 #include "mars/serve/cache.h"
+#include "mars/util/logging.h"
 
 namespace mars::explore {
 namespace {
@@ -82,6 +83,28 @@ TEST(ExploreDeterminism, ByteIdenticalColdVersusWarmCache) {
     EXPECT_EQ(uncached.json, cold.json);
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(ExploreDeterminism, StoreFailureKeepsTheUncachedFront) {
+  // The cache directory vanishes after the cache opens: every point's
+  // store fails inside its pool job, and the exports match an uncached
+  // run.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "mars-explore-store-failure";
+  std::filesystem::remove_all(dir);
+  const Exports uncached = run(tiny_config(2));
+
+  const serve::MappingCache cache(dir.string());
+  std::filesystem::remove_all(dir);
+  const LogLevel previous = set_log_level(LogLevel::kError);
+  const Exports failed = run(tiny_config(2), &cache);
+  set_log_level(previous);
+  EXPECT_EQ(failed.csv, uncached.csv);
+  EXPECT_EQ(failed.json, uncached.json);
+  EXPECT_EQ(failed.cache_hits, 0);
+  EXPECT_GT(cache.misses(), 0);
+  EXPECT_EQ(cache.stores(), 0);
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(ExploreDeterminism, FrontSizeTruncatesExportsOnly) {

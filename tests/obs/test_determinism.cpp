@@ -53,12 +53,9 @@ std::string sim_slice(const TraceRecorder& rec) {
 struct Fleet {
   Fleet()
       : topo(topology::f1_16xlarge()), designs(accel::table2_designs()) {
-    const plan::BaselineEngine baseline;
-    for (const char* name : {"alexnet", "resnet18"}) {
-      services.push_back(std::make_unique<serve::ModelService>(
-          name, topo, designs, /*adaptive=*/true, baseline));
-      refs.push_back(services.back().get());
-    }
+    services = serve::plan_services({"alexnet", "resnet18"}, topo, designs,
+                                    /*adaptive=*/true, plan::BaselineEngine{});
+    for (const auto& service : services) refs.push_back(service.get());
   }
   [[nodiscard]] serve::ServeResult run() const {
     const serve::OnlineScheduler scheduler(topo, refs, {});

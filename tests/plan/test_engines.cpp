@@ -286,7 +286,7 @@ TEST(EngineThreadsTest, PortfolioPassesTheCountToEveryMember) {
 TEST_F(EnginesTest, ReducedThreadEnginesReturnTheSameMapping) {
   core::MarsConfig tuning = tiny_tuning();
   tuning.threads = 3;
-  for (const std::string& name : {"ga", "anneal", "random"}) {
+  for (const char* name : {"ga", "anneal", "random"}) {
     const std::unique_ptr<SearchEngine> engine = make_engine(name, tuning);
     const PlanResult full = engine->search(fx_.problem);
     const PlanResult reduced = engine->with_threads(1)->search(fx_.problem);

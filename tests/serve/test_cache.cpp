@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -8,6 +9,7 @@
 #include "mars/core/evaluator.h"
 #include "mars/core/serialize.h"
 #include "mars/plan/engines.h"
+#include "mars/plan/planner.h"
 #include "mars/serve/cache.h"
 #include "mars/serve/service.h"
 #include "mars/topology/presets.h"
@@ -52,9 +54,16 @@ class CacheTest : public ::testing::Test {
   [[nodiscard]] std::unique_ptr<ModelService> plan(
       const MappingCache* cache, const topology::Topology& topo,
       std::uint64_t seed = 1) const {
-    return std::make_unique<ModelService>("alexnet", topo, designs_,
-                                          /*adaptive=*/true, tiny_ga(seed),
-                                          cache);
+    return plan_alexnet(tiny_ga(seed), cache, topo);
+  }
+
+  /// A one-model fleet: alexnet on `topo`, adaptive.
+  [[nodiscard]] std::unique_ptr<ModelService> plan_alexnet(
+      const plan::SearchEngine& engine, const MappingCache* cache,
+      const topology::Topology& topo, const plan::Budget& budget = {}) const {
+    return std::move(plan_services({"alexnet"}, topo, designs_,
+                                   /*adaptive=*/true, engine, cache, budget)
+                         .front());
   }
 
   /// The fingerprint ModelService computes for tiny_ga under no budget.
@@ -109,7 +118,7 @@ TEST_F(CacheTest, DirectStoreLoadRoundTrip) {
   const auto service = plan(&cache, topo_);
   const MappingCache::Key key{"alexnet", tiny_fingerprint(topo_)};
   const std::optional<core::Mapping> loaded =
-      cache.load(key, *service->problem().spine, topo_, designs_, true);
+      cache.load(key, service->problem());
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(core::to_json(*loaded, *service->problem().spine, designs_, true)
                 .dump(),
@@ -161,20 +170,17 @@ TEST_F(CacheTest, CrossEngineEntriesNeverAlias) {
             MappingCache::fingerprint(topo_, designs_, true,
                                       random->spec_string()));
 
-  const ModelService ga_service("alexnet", topo_, designs_, true, *ga,
-                                &cache);
-  EXPECT_EQ(ga_service.mapping_source(),
+  const auto ga_service = plan_alexnet(*ga, &cache, topo_);
+  EXPECT_EQ(ga_service->mapping_source(),
             ModelService::MappingSource::kSearched);
   EXPECT_EQ(entries(), 1u);
   // Same model, same cache, different engine: a fresh search, not a hit.
-  const ModelService anneal_service("alexnet", topo_, designs_, true, *anneal,
-                                    &cache);
-  EXPECT_EQ(anneal_service.mapping_source(),
+  const auto anneal_service = plan_alexnet(*anneal, &cache, topo_);
+  EXPECT_EQ(anneal_service->mapping_source(),
             ModelService::MappingSource::kSearched);
   EXPECT_EQ(entries(), 2u);
   // Each engine then hits its own entry.
-  EXPECT_EQ(ModelService("alexnet", topo_, designs_, true, *anneal, &cache)
-                .mapping_source(),
+  EXPECT_EQ(plan_alexnet(*anneal, &cache, topo_)->mapping_source(),
             ModelService::MappingSource::kCacheHit);
 }
 
@@ -188,12 +194,10 @@ TEST_F(CacheTest, BudgetIsPartOfTheCacheIdentity) {
   EXPECT_NE(search_spec(engine, {}), search_spec(engine, budget));
 
   const MappingCache cache(dir_.string());
-  const ModelService unbudgeted("alexnet", topo_, designs_, true, engine,
-                                &cache);
+  const auto unbudgeted = plan_alexnet(engine, &cache, topo_);
   EXPECT_EQ(entries(), 1u);
-  const ModelService budgeted("alexnet", topo_, designs_, true, engine,
-                              &cache, budget);
-  EXPECT_EQ(budgeted.mapping_source(),
+  const auto budgeted = plan_alexnet(engine, &cache, topo_, budget);
+  EXPECT_EQ(budgeted->mapping_source(),
             ModelService::MappingSource::kSearched);
   EXPECT_EQ(entries(), 2u);
 }
@@ -205,10 +209,9 @@ TEST_F(CacheTest, CancelledSearchIsNotStored) {
   const MappingCache cache(dir_.string());
   plan::CancelToken token;
   token.cancel();
-  const ModelService service("alexnet", topo_, designs_, /*adaptive=*/true,
-                             tiny_ga(), &cache,
-                             plan::Budget::cancellable(token));
-  EXPECT_EQ(service.mapping_source(), ModelService::MappingSource::kSearched);
+  const auto service = plan_alexnet(tiny_ga(), &cache, topo_,
+                                    plan::Budget::cancellable(token));
+  EXPECT_EQ(service->mapping_source(), ModelService::MappingSource::kSearched);
   EXPECT_EQ(entries(), 0u);
   // The next (uncancelled) startup searches fully and stores as usual.
   EXPECT_EQ(plan(&cache, topo_)->mapping_source(),
@@ -298,8 +301,7 @@ TEST_F(CacheTest, ForeignEntryUnderTheRightNameIsAMiss) {
     file << content;
   }
   const LogLevel previous = set_log_level(LogLevel::kError);
-  EXPECT_FALSE(cache.load(key, *cold->problem().spine, topo_, designs_, true)
-                   .has_value());
+  EXPECT_FALSE(cache.load(key, cold->problem()).has_value());
   set_log_level(previous);
 }
 
@@ -317,9 +319,8 @@ TEST_F(CacheTest, StoreFailureDoesNotBreakPlanning) {
 
 TEST_F(CacheTest, BaselineEngineBypassesTheCache) {
   const MappingCache cache(dir_.string());
-  const ModelService service("alexnet", topo_, designs_, /*adaptive=*/true,
-                             plan::BaselineEngine{}, &cache);
-  EXPECT_EQ(service.mapping_source(), ModelService::MappingSource::kBaseline);
+  const auto service = plan_alexnet(plan::BaselineEngine{}, &cache, topo_);
+  EXPECT_EQ(service->mapping_source(), ModelService::MappingSource::kBaseline);
   EXPECT_EQ(entries(), 0u);
 }
 
@@ -340,6 +341,88 @@ TEST_F(CacheTest, PlanServicesThreadsTheCacheThrough) {
     EXPECT_DOUBLE_EQ(warm[i]->single_latency().count(),
                      cold[i]->single_latency().count());
   }
+}
+
+TEST_F(CacheTest, KeyIsTheFingerprintOfTheSearchSpec) {
+  // key() is the one place the cache identity is assembled: the explicit
+  // fingerprint formula over the engine spec plus its budget and
+  // placement suffixes, in that order.
+  const plan::GaEngine engine = tiny_ga();
+  const std::string spec = engine.spec_string();
+  const auto expected = [&](bool adaptive, const std::string& suffix) {
+    return MappingCache::Key{
+        "alexnet",
+        MappingCache::fingerprint(topo_, designs_, adaptive, spec + suffix)};
+  };
+  const auto key = [&](const plan::Planner& planner,
+                       const plan::Budget& budget) {
+    return MappingCache::key("alexnet", planner.problem(), engine, budget);
+  };
+  const plan::Planner full = plan::Planner::for_model("alexnet", topo_, designs_);
+  const plan::Planner fixed = plan::Planner::for_model(
+      "alexnet", topo_, designs_, /*adaptive=*/false);
+  const plan::Planner sliced = plan::Planner::for_model(
+      "alexnet", topo_, designs_, /*adaptive=*/true, /*placement=*/0x35);
+  plan::Budget both = plan::Budget::evaluations(8);
+  both.wall_clock = Seconds(0.25);
+  plan::CancelToken token;
+
+  EXPECT_EQ(key(full, {}), expected(true, ""));
+  EXPECT_EQ(key(fixed, {}), expected(false, ""));
+  EXPECT_EQ(key(full, plan::Budget::evaluations(8)), expected(true, ";evals=8"));
+  EXPECT_EQ(key(full, plan::Budget::wall(Seconds(0.25))),
+            expected(true, ";wall_ms=250"));
+  EXPECT_EQ(key(sliced, {}), expected(true, ";placement=35"));
+  EXPECT_EQ(key(sliced, both),
+            expected(true, ";evals=8;wall_ms=250;placement=35"));
+  // A cancel token is a runtime event, not part of the identity.
+  EXPECT_EQ(key(full, plan::Budget::cancellable(token)), expected(true, ""));
+  // The baseline never searches, so it gets no key.
+  EXPECT_FALSE(MappingCache::key("alexnet", full.problem(),
+                                 plan::BaselineEngine{}, {})
+                   .has_value());
+}
+
+TEST_F(CacheTest, StoreSearchedSkipsACancelledSearch) {
+  const MappingCache cache(dir_.string());
+  const auto service = plan(nullptr, topo_);
+  const MappingCache::Key key =
+      *MappingCache::key("alexnet", service->problem(), tiny_ga(), {});
+  plan::Provenance cancelled = service->provenance();
+  cancelled.stopped = plan::StopReason::kCancelled;
+  cache.store_searched(key, service->mapping(), cancelled, service->problem());
+  EXPECT_EQ(entries(), 0u);
+  EXPECT_EQ(cache.stores(), 0);
+  // The same mapping from a complete search is stored, and hits after.
+  cache.store_searched(key, service->mapping(), service->provenance(),
+                       service->problem());
+  EXPECT_EQ(entries(), 1u);
+  EXPECT_EQ(cache.stores(), 1);
+  EXPECT_EQ(plan(&cache, topo_)->mapping_source(),
+            ModelService::MappingSource::kCacheHit);
+}
+
+TEST_F(CacheTest, FailedStoreLogsOneWarningAndDoesNotThrow) {
+  const MappingCache cache(dir_.string());
+  const auto service = plan(nullptr, topo_);
+  const MappingCache::Key key =
+      *MappingCache::key("alexnet", service->problem(), tiny_ga(), {});
+  std::filesystem::remove_all(dir_);
+  std::ostringstream log;
+  std::ostream* previous_sink = set_log_sink(&log);
+  const LogLevel previous_level = set_log_level(LogLevel::kWarn);
+  EXPECT_NO_THROW(cache.store_searched(key, service->mapping(),
+                                       service->provenance(),
+                                       service->problem()));
+  set_log_level(previous_level);
+  set_log_sink(previous_sink);
+  EXPECT_EQ(cache.stores(), 0);
+  EXPECT_FALSE(std::filesystem::exists(dir_));
+  const std::string text = log.str();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+  EXPECT_NE(text.find("mapping cache store failed for 'alexnet'"),
+            std::string::npos)
+      << text;
 }
 
 TEST_F(CacheTest, RejectsUnusableDirectory) {

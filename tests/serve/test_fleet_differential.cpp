@@ -37,13 +37,10 @@ class FleetDifferentialTest : public ::testing::Test {
   FleetDifferentialTest()
       : group_(topology::h2h_cloud(4, gbps(4.0), 4)),
         designs_(accel::h2h_designs()) {
-    const plan::BaselineEngine baseline;
-    for (const char* name : {"alexnet", "resnet18"}) {
-      services_.push_back(std::make_unique<ModelService>(
-          name, group_, designs_, /*adaptive=*/false, baseline));
-      refs_.push_back(services_.back().get());
-      names_.emplace_back(name);
-    }
+    names_ = {"alexnet", "resnet18"};
+    services_ = plan_services(names_, group_, designs_, /*adaptive=*/false,
+                              plan::BaselineEngine{});
+    for (const auto& service : services_) refs_.push_back(service.get());
   }
 
   [[nodiscard]] ServeResult fleet_run(const SchedulerOptions& options,

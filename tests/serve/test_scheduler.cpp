@@ -27,12 +27,9 @@ class SchedulerTest : public ::testing::Test {
  protected:
   SchedulerTest()
       : topo_(topology::f1_16xlarge()), designs_(accel::table2_designs()) {
-    const plan::BaselineEngine baseline;
-    for (const char* name : {"alexnet", "resnet18"}) {
-      services_.push_back(std::make_unique<ModelService>(
-          name, topo_, designs_, /*adaptive=*/true, baseline));
-      refs_.push_back(services_.back().get());
-    }
+    services_ = plan_services({"alexnet", "resnet18"}, topo_, designs_,
+                              /*adaptive=*/true, plan::BaselineEngine{});
+    for (const auto& service : services_) refs_.push_back(service.get());
   }
 
   [[nodiscard]] OnlineScheduler scheduler(
@@ -222,9 +219,10 @@ TEST_F(SchedulerTest, UtilizationStaysPhysical) {
 
 TEST_F(SchedulerTest, RejectsForeignService) {
   const topology::Topology other = topology::f1_16xlarge();
-  const ModelService foreign("alexnet", other, designs_, /*adaptive=*/true,
-                             plan::BaselineEngine{});
-  EXPECT_THROW((void)OnlineScheduler(topo_, {&foreign}, {}), InvalidArgument);
+  const auto foreign = plan_services({"alexnet"}, other, designs_,
+                                     /*adaptive=*/true, plan::BaselineEngine{});
+  EXPECT_THROW((void)OnlineScheduler(topo_, {foreign.front().get()}, {}),
+               InvalidArgument);
 }
 
 TEST_F(SchedulerTest, RejectsModelsOnAcceleratorsTheTopologyLacks) {

@@ -58,12 +58,9 @@ class ZeroAllocTest : public ::testing::Test {
   ZeroAllocTest()
       : topo_(topology::h2h_cloud(4, gbps(4.0), 4)),
         designs_(accel::h2h_designs()) {
-    const plan::BaselineEngine baseline;
-    for (const char* name : {"alexnet", "resnet18"}) {
-      services_.push_back(std::make_unique<ModelService>(
-          name, topo_, designs_, /*adaptive=*/false, baseline));
-      refs_.push_back(services_.back().get());
-    }
+    services_ = plan_services({"alexnet", "resnet18"}, topo_, designs_,
+                              /*adaptive=*/false, plan::BaselineEngine{});
+    for (const auto& service : services_) refs_.push_back(service.get());
   }
 
   topology::Topology topo_;

@@ -137,9 +137,9 @@ TEST(ExecutorStress, FlatGraphMirrorsBuilderOrder) {
 TEST(ExecutorStress, ServingSoakRecyclesInstances) {
   const topology::Topology topo = topology::h2h_cloud(4, gbps(4.0), 4);
   const accel::DesignRegistry designs = accel::h2h_designs();
-  const plan::BaselineEngine baseline;
-  const serve::ModelService service("alexnet", topo, designs,
-                                    /*adaptive=*/false, baseline);
+  const auto services = serve::plan_services(
+      {"alexnet"}, topo, designs, /*adaptive=*/false, plan::BaselineEngine{});
+  const serve::ModelService& service = *services.front();
 
   const serve::PolicySpec policy = serve::PolicySpec::parse("shed:8");
   serve::SchedulerOptions options;

@@ -350,13 +350,11 @@ TEST(WaitQueueServingCoarse, RarelyDiffersFromPolling) {
 TEST(WaitQueueServing, MatchesPollingOnPlannedModels) {
   const topology::Topology topo = topology::f1_16xlarge();
   const accel::DesignRegistry designs = accel::table2_designs();
-  const plan::BaselineEngine baseline;
-  const serve::ModelService facebagnet("facebagnet", topo, designs,
-                                       /*adaptive=*/true, baseline);
-  const serve::ModelService resnet50("resnet50", topo, designs,
-                                     /*adaptive=*/true, baseline);
+  const auto services =
+      serve::plan_services({"facebagnet", "resnet50"}, topo, designs,
+                           /*adaptive=*/true, plan::BaselineEngine{});
   std::vector<serve::ServedModel> models;
-  for (const serve::ModelService* service : {&facebagnet, &resnet50}) {
+  for (const auto& service : services) {
     models.push_back(serve::ServedModel{service->name(), &service->flat_proto(),
                                         service->single_latency()});
   }
